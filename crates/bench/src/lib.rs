@@ -32,9 +32,6 @@
 //! - `ASAP_SWEEP_JOBS` — fork-dispatch worker threads for crash sweeps
 //!   (default 1; snapshots are `Send`, so forks run on a scoped pool and
 //!   merge back in point order — output is identical at any value);
-//! - `ASAP_SNAP_BUDGET` — most spine snapshots a sweep keeps resident
-//!   (default 64; over budget, every other snapshot is evicted and the
-//!   cadence doubles);
 //! - `ASAP_HTTP` — address for the live observability HTTP server
 //!   (e.g. `127.0.0.1:0`), started per grid run and stopped at grid
 //!   end: `/metrics`, `/metrics.json`, `/events`, `/progress`,
@@ -46,9 +43,11 @@
 //! knob should never fail silently.
 //!
 //! Every figure is a grid of *independent deterministic simulations* — one
-//! per `(bench × scheme × payload)` cell — so the harness runs them on a
-//! scoped-thread worker pool ([`run_grid`]) and hands results back in spec
-//! order: the printed tables are byte-identical for any `ASAP_JOBS`.
+//! per `(bench × scheme × payload)` cell — so the harness runs them on the
+//! shared worker pool ([`asap_sim::pool::ordered`], via [`run_grid`]) and
+//! hands results back in spec order: the printed tables are byte-identical
+//! for any `ASAP_JOBS`. A cell that panics fails alone: every other cell
+//! still runs and is cached, and the grid panics only once it has drained.
 
 #![warn(missing_docs)]
 
@@ -56,9 +55,8 @@ mod progress;
 mod report;
 pub mod runcache;
 
+use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use asap_core::machine::RunOutcome;
@@ -125,16 +123,6 @@ pub fn sweep_jobs() -> usize {
         .max(1)
 }
 
-/// Spine snapshot budget for crash sweeps, from `ASAP_SNAP_BUDGET`
-/// (default 64; 0 = unbounded). Bounds sweep memory: over budget, every
-/// other spine snapshot is evicted and the cadence doubles.
-pub fn snap_budget() -> usize {
-    std::env::var("ASAP_SNAP_BUDGET")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(64)
-}
-
 /// Runs every spec in `specs` and returns the results in the same order,
 /// using [`jobs`] host worker threads and the environment-configured
 /// result cache ([`RunCacheConfig::from_env`]).
@@ -164,6 +152,13 @@ pub fn run_grid_jobs(specs: &[WorkloadSpec], jobs: usize) -> Vec<RunResult> {
 /// per cell (ordered by completion, keyed by fingerprint), and
 /// `grid_end` records; `ASAP_PROGRESS=1` draws a live status line on
 /// stderr; host time is attributed to the [`phase`] profiler either way.
+///
+/// # Panics
+///
+/// Panics, naming every failed cell, if any cell's simulation panicked.
+/// The failure is held until the grid has drained: each failed cell is
+/// warned about on stderr as it comes back, and every cell that finished
+/// is cached first.
 pub fn run_grid_with(
     specs: &[WorkloadSpec],
     jobs: usize,
@@ -199,7 +194,7 @@ pub fn run_grid_with(
             &progress,
         )
     } else {
-        pool_run(specs, jobs, fps.as_deref(), &progress)
+        run_cells(specs, jobs, fps.as_deref(), &progress)
     };
     progress.finish();
     if events_on {
@@ -222,7 +217,21 @@ pub fn run_grid_with(
         report::set_live(false);
         server.shutdown();
     }
+    let failed: Vec<String> = (0..specs.len())
+        .filter(|&i| results[i].is_none())
+        .map(|i| format!("#{i} {}", cell_name(&specs[i])))
+        .collect();
+    assert!(
+        failed.is_empty(),
+        "run_grid: {} of {} cells failed: {}",
+        failed.len(),
+        specs.len(),
+        failed.join(", ")
+    );
     results
+        .into_iter()
+        .map(|r| r.expect("failed cells panicked above"))
+        .collect()
 }
 
 /// The bench-side routes `run_grid` registers on the `ASAP_HTTP` server
@@ -270,14 +279,15 @@ fn start_obs_server() -> Option<obs::http::Server> {
 }
 
 /// The cached path of [`run_grid_with`]: probe the tiers, simulate the
-/// misses, fan duplicates out from their first occurrence.
+/// misses, fan duplicates out from their first occurrence. A failed cell
+/// (and every duplicate of it) comes back `None` and is never cached.
 fn grid_with_cache(
     specs: &[WorkloadSpec],
     jobs: usize,
     cache: &RunCacheConfig,
     fps: &[Fingerprint],
     progress: &Progress,
-) -> Vec<RunResult> {
+) -> Vec<Option<RunResult>> {
     let mut results: Vec<Option<RunResult>> = vec![None; specs.len()];
     // First index of each distinct fingerprint; later duplicates are
     // filled by fan-out below instead of consulting the tiers (or the
@@ -321,14 +331,18 @@ fn grid_with_cache(
     let missing_fps: Vec<Fingerprint> = to_run.iter().map(|&i| fps[i]).collect();
     for (&i, r) in to_run
         .iter()
-        .zip(pool_run(&missing, jobs, Some(&missing_fps), progress))
+        .zip(run_cells(&missing, jobs, Some(&missing_fps), progress))
     {
-        runcache::insert(&fps[i], &r, cache);
-        results[i] = Some(r);
+        if let Some(r) = &r {
+            runcache::insert(&fps[i], r, cache);
+        }
+        results[i] = r;
     }
     for i in 0..specs.len() {
         if results[i].is_none() {
-            let mut r = results[first[&fps[i]]].clone().expect("representative ran");
+            let Some(mut r) = results[first[&fps[i]]].clone() else {
+                continue; // the representative failed
+            };
             r.spec = specs[i];
             runcache::note_dedup_fanout();
             emit_cell_start(&specs[i], &fps[i]);
@@ -338,9 +352,6 @@ fn grid_with_cache(
         }
     }
     results
-        .into_iter()
-        .map(|r| r.expect("every cell filled"))
-        .collect()
 }
 
 /// Runs a copy-on-write crash-point sweep for `spec` under the
@@ -471,9 +482,7 @@ pub fn run_crash_sweep_with(
             let _t = phase::scope(phase::Phase::Simulate);
             // Tree layout + env-configured fork pool: bit-identical to
             // the serial flat sweep, only faster and memory-bounded.
-            let cfg = SweepConfig::tree(snap_every)
-                .with_budget(snap_budget())
-                .with_jobs(sweep_jobs());
+            let cfg = SweepConfig::tree(snap_every).with_jobs(sweep_jobs());
             run_sweep_with(spec, &missing, &cfg)
         };
         prefix_writes = sweep.prefix_writes;
@@ -582,43 +591,50 @@ pub fn run_crash_sweep_with(
     }
 }
 
-/// The raw worker pool: simulates every spec, no memoization.
-/// `fps` is present whenever the event stream is on (the grid runner
-/// computes fingerprints for either consumer), so cell records can be
-/// keyed by content.
-fn pool_run(
+/// Simulates every spec on `jobs` workers of the shared pool, no
+/// memoization; cells are self-scheduled because they vary widely in cost
+/// (2KB payloads are ~10x 64B cells). A cell that panicked is warned about
+/// and comes back `None`. `fps` is present whenever the event stream is on
+/// (the grid runner computes fingerprints for either consumer), so cell
+/// records can be keyed by content.
+fn run_cells(
     specs: &[WorkloadSpec],
     jobs: usize,
     fps: Option<&[Fingerprint]>,
     progress: &Progress,
-) -> Vec<RunResult> {
-    if jobs <= 1 || specs.len() <= 1 {
-        return (0..specs.len())
-            .map(|i| run_cell(i, specs, fps, progress, 0))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunResult>>> = specs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let next = &next;
-        let slots = &slots;
-        for w in 0..jobs.min(specs.len()) {
-            scope.spawn(move || loop {
-                // Self-scheduling work queue: cells vary widely in cost
-                // (2KB payloads are ~10x 64B cells), so static chunking
-                // would leave workers idle.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= specs.len() {
-                    break;
-                }
-                *slots[i].lock().unwrap() = Some(run_cell(i, specs, fps, progress, w));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every cell ran"))
-        .collect()
+) -> Vec<Option<RunResult>> {
+    let workers: Vec<usize> = (0..jobs.max(1)).collect();
+    asap_sim::pool::ordered(workers, specs.len(), |w, i| {
+        run_cell(i, specs, fps, progress, *w)
+    })
+    .into_iter()
+    .zip(specs)
+    .map(|(r, spec)| {
+        r.inspect_err(|panic| {
+            obs::warn!(
+                "run_grid: cell {} panicked: {}",
+                cell_name(spec),
+                panic_message(panic.as_ref())
+            );
+        })
+        .ok()
+    })
+    .collect()
+}
+
+/// A cell's `bench/scheme` label for failure reports.
+fn cell_name(spec: &WorkloadSpec) -> String {
+    format!("{}/{}", spec.bench.label(), spec.scheme.name())
+}
+
+/// The message a panic was raised with (`panic!` payloads are `&str` or
+/// `String`).
+fn panic_message(panic: &(dyn Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Simulates one cell on worker `w`, bracketing it with cell events and

@@ -266,8 +266,18 @@ pub(crate) fn render_html() -> String {
 mod tests {
     use super::*;
 
+    /// The live gate and the note queues are process-global, so the tests
+    /// that toggle the gate take turns.
+    static GATE: Mutex<()> = Mutex::new(());
+
+    fn gate() -> std::sync::MutexGuard<'static, ()> {
+        GATE.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn report_renders_and_respects_live_gate() {
+        let _gate = gate();
         // Not live: notes are dropped.
         set_live(false);
         note_cell(CellNote {
@@ -297,6 +307,7 @@ mod tests {
 
     #[test]
     fn sweep_table_renders_and_respects_live_gate() {
+        let _gate = gate();
         let point = |n: u64, crashed: bool| CrashPointOutcome {
             crash_after: n,
             crashed,
@@ -330,6 +341,7 @@ mod tests {
 
     #[test]
     fn recent_queue_is_bounded() {
+        let _gate = gate();
         set_live(true);
         for i in 0..(RECENT_CAP + 10) {
             note_cell(CellNote {

@@ -2,6 +2,8 @@
 //! workspace must be listed in [`asap_sim::KNOWN_ASAP_ENV`] — otherwise
 //! the unknown-variable warning would fire on a knob the code actually
 //! honors (or worse, a new knob would be unlisted and untypo-checked).
+//! And every listed name must still be read somewhere (or set by
+//! `ci.sh`), so a deleted knob cannot linger in the registry.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -25,7 +27,7 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 #[test]
-fn every_env_read_is_registered() {
+fn registry_matches_env_reads() {
     // CARGO_MANIFEST_DIR of this crate is crates/bench.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut files = Vec::new();
@@ -71,5 +73,19 @@ fn every_env_read_is_registered() {
         "ASAP_PROGRESS",
     ] {
         assert!(seen.contains(known), "scan should find a read of {known}");
+    }
+
+    // The other direction: no dead names. `ASAP_PERF_GATE` is read by
+    // `ci.sh` itself, so the script's `ASAP_*` tokens count as reads too.
+    let ci = std::fs::read_to_string(root.join("ci.sh")).expect("ci.sh at the workspace root");
+    let ci_names: BTreeSet<&str> = ci
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with("ASAP_"))
+        .collect();
+    for name in asap_sim::KNOWN_ASAP_ENV {
+        assert!(
+            seen.contains(name) || ci_names.contains(name),
+            "{name} is registered in KNOWN_ASAP_ENV but nothing reads it"
+        );
     }
 }

@@ -284,7 +284,6 @@ impl Default for SystemConfig {
 /// reported instead of silently ignored.
 pub const KNOWN_ASAP_ENV: &[&str] = &[
     "ASAP_BENCHES",
-    "ASAP_CELL_JOBS",
     "ASAP_CRASH_SWEEP",
     "ASAP_DEBUG_RECOVERY",
     "ASAP_EVENTS",
@@ -299,7 +298,6 @@ pub const KNOWN_ASAP_ENV: &[&str] = &[
     "ASAP_RUNCACHE",
     "ASAP_RUNCACHE_CAP",
     "ASAP_RUNCACHE_DIR",
-    "ASAP_SNAP_BUDGET",
     "ASAP_SWEEP_JOBS",
     "ASAP_TELEMETRY",
     "ASAP_TELEMETRY_OUT",

@@ -2,7 +2,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use asap_core::machine::{
@@ -453,8 +452,8 @@ pub struct SweepConfig {
     /// step's writes instead of a cadence tail, and consecutive points in
     /// a chunk share their advance work.
     pub refine: bool,
-    /// Fork-dispatch worker threads (1 = inline on the calling thread;
-    /// results are identical either way).
+    /// Fork-dispatch worker threads on [`asap_sim::pool::ordered`] (1 =
+    /// inline on the calling thread; results are identical either way).
     pub jobs: usize,
 }
 
@@ -536,14 +535,11 @@ struct SweepShared<'a> {
     spine: &'a [Mutex<(MachineSnapshot, Vec<ThreadState>)>],
     /// `pm_write_ops` of each spine snapshot (lock-free index).
     spine_writes: &'a [u64],
-    /// One result slot per requested point, filled by whichever worker
-    /// runs it; the merge reads them back in request order, which is what
-    /// makes the output independent of worker count and timing.
-    slots: &'a [Mutex<Option<(RunResult, u64)>>],
     bench: AnyBench,
 }
 
-/// Processes one contiguous chunk of the sorted point order on `m`.
+/// Processes one contiguous chunk of the sorted point order on `m`,
+/// returning `(point index, fork result, replayed writes)` per point.
 ///
 /// Flat mode restores the latest preceding spine snapshot for every
 /// point. Tree mode restores once per chunk, then walks forward taking a
@@ -551,11 +547,17 @@ struct SweepShared<'a> {
 /// armed replay is bounded by one step's writes, and consecutive points
 /// share the advance work. Both modes run the same
 /// [`Machine::step_thread`] loop as [`run`], so results are identical.
-fn sweep_chunk(sh: &SweepShared<'_>, range: std::ops::Range<usize>, m: &mut Machine, worker: u64) {
+fn sweep_chunk(
+    sh: &SweepShared<'_>,
+    range: std::ops::Range<usize>,
+    m: &mut Machine,
+    worker: u64,
+) -> Vec<(usize, RunResult, u64)> {
     use asap_sim::obs::{events, metrics};
     let idxs = &sh.order[range];
+    let mut done = Vec::with_capacity(idxs.len());
     if idxs.is_empty() {
-        return;
+        return done;
     }
     let spec = sh.spec;
     let mut bench = sh.bench;
@@ -634,7 +636,7 @@ fn sweep_chunk(sh: &SweepShared<'_>, range: std::ops::Range<usize>, m: &mut Mach
         }
         let fspec = spec.with_crash_after(n);
         let r = collect(m, &mut bench, &fspec, outcome, &sh.marks);
-        *sh.slots[i].lock().unwrap() = Some((r, replayed));
+        done.push((i, r, replayed));
         if sh.cfg.refine && k + 1 < idxs.len() {
             // Rewind to the leaf for the next point's advance.
             let (s, st) = cur.as_ref().expect("leaf exists after the first fork");
@@ -642,6 +644,7 @@ fn sweep_chunk(sh: &SweepShared<'_>, range: std::ops::Range<usize>, m: &mut Mach
             state.borrow_mut().clone_from(st);
         }
     }
+    done
 }
 
 /// [`run_sweep`] with an explicit [`SweepConfig`]: the adaptive snapshot
@@ -650,14 +653,15 @@ fn sweep_chunk(sh: &SweepShared<'_>, range: std::ops::Range<usize>, m: &mut Mach
 /// The prefix simulates once (serially — it is one deterministic
 /// simulation), recording spine snapshots at the budget-compacted cadence
 /// plus every realized step-boundary write count. Forks then dispatch in
-/// ascending point order across `cfg.jobs` scoped workers (self-scheduled
-/// over contiguous chunks, each worker owning one scratch [`Machine`] —
-/// snapshots are `Send`, so restoring them in a worker is ordinary data
-/// movement), and results merge back in request order. Determinism
-/// argument: a fork's result depends only on the restored snapshot and
-/// the armed count, never on which worker ran it or when, so the merged
-/// output is bit-identical to the serial sweep at any `cfg.jobs` — and to
-/// the legacy one-run-per-point path.
+/// ascending point order across `cfg.jobs` workers of
+/// [`asap_sim::pool::ordered`] (self-scheduled over contiguous chunks,
+/// each worker owning one scratch [`Machine`] — the first reuses the
+/// prefix machine; snapshots are `Send`, so restoring them in a worker is
+/// ordinary data movement), and results merge back in request order.
+/// Determinism argument: a fork's result depends only on the restored
+/// snapshot and the armed count, never on which worker ran it or when, so
+/// the merged output is bit-identical to the serial sweep at any
+/// `cfg.jobs` — and to the legacy one-run-per-point path.
 ///
 /// # Panics
 ///
@@ -719,8 +723,8 @@ pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) ->
     let mut baseline = collect(&mut m, &mut bench, spec, RunOutcome::Completed, &marks);
 
     // Fork dispatch. Ascending point order keeps each chunk on one
-    // stretch of the prefix; chunks are self-scheduled (the `run_grid`
-    // pool pattern) so stragglers rebalance.
+    // stretch of the prefix; the pool self-schedules chunks so stragglers
+    // rebalance.
     let mut order: Vec<usize> = (0..points.len()).collect();
     order.sort_by_key(|&i| (points[i], i));
     let jobs = cfg.jobs.max(1).min(points.len().max(1));
@@ -735,8 +739,6 @@ pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) ->
     let spine_writes: Vec<u64> = spine.iter().map(|(s, _)| s.pm_write_ops()).collect();
     let spine: Vec<Mutex<(MachineSnapshot, Vec<ThreadState>)>> =
         spine.into_iter().map(Mutex::new).collect();
-    let slots: Vec<Mutex<Option<(RunResult, u64)>>> =
-        points.iter().map(|_| Mutex::new(None)).collect();
     let shared = SweepShared {
         spec,
         marks,
@@ -746,40 +748,31 @@ pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) ->
         boundaries: &boundaries,
         spine: &spine,
         spine_writes: &spine_writes,
-        slots: &slots,
         bench,
     };
-    if jobs == 1 {
-        for r in &chunks {
-            sweep_chunk(&shared, r.clone(), &mut m, 0);
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|sc| {
-            for w in 0..jobs.min(chunk_count) {
-                let shared = &shared;
-                let chunks = &chunks;
-                let next = &next;
-                sc.spawn(move || {
-                    let mut wm = machine_for(shared.spec);
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(r) = chunks.get(c) else { break };
-                        sweep_chunk(shared, r.clone(), &mut wm, w as u64);
-                    }
-                });
-            }
-        });
-    }
+    // Worker 0 forks on the prefix machine; the others build their scratch
+    // machine on first use, on their own thread.
+    let mut workers: Vec<(u64, Option<Machine>)> = (0..jobs as u64).map(|w| (w, None)).collect();
+    workers[0].1 = Some(m);
+    let chunk_results = asap_sim::pool::ordered(workers, chunks.len(), |(w, wm), c| {
+        let wm = wm.get_or_insert_with(|| machine_for(spec));
+        sweep_chunk(&shared, chunks[c].clone(), wm, *w)
+    });
 
-    // Merge in request order: output is a pure function of the slots.
+    // Merge in request order: output is a pure function of the per-point
+    // results, never of which worker ran them. A fork that panicked
+    // re-raises here, once every chunk has come back.
+    let mut slots: Vec<Option<(RunResult, u64)>> = points.iter().map(|_| None).collect();
+    for chunk in chunk_results {
+        let chunk = chunk.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        for (i, r, replayed) in chunk {
+            slots[i] = Some((r, replayed));
+        }
+    }
     let mut forks = Vec::with_capacity(points.len());
     let mut replayed_writes = 0u64;
     for (i, slot) in slots.into_iter().enumerate() {
-        let (r, replayed) = slot
-            .into_inner()
-            .expect("slot mutex poisoned")
-            .expect("every point produces a fork");
+        let (r, replayed) = slot.expect("every point produces a fork");
         replayed_writes += replayed;
         baseline.crash_points.push(CrashPointOutcome {
             crash_after: points[i],
@@ -888,18 +881,6 @@ fn flush_host_metrics(m: &Machine) {
     metrics::counter("pmem.image.cow_copies").add(img.cow_copies);
     metrics::counter("sim.calendar.full_scans").add(m.hw().mem.calendar_full_scans());
     metrics::gauge("mem.fwd_slab.hwm").set_max(m.hw().mem.fwd_slab_hwm());
-    // Domain-partitioned backend (DESIGN.md §12): per-channel event
-    // volume, how often the parallel window engaged, cross-domain
-    // out-event exchange, and host nanoseconds spent in the serial
-    // replay merge (the "frontier stall" the partition pays for
-    // exactness).
-    let (per_domain, windows, exchange, stall_ns) = m.hw().mem.domain_metrics();
-    for (ch, n) in per_domain.iter().enumerate() {
-        metrics::counter(&format!("sim.domain.ch{ch}.events")).add(*n);
-    }
-    metrics::counter("sim.domain.par_windows").add(windows);
-    metrics::counter("sim.domain.exchange.events").add(exchange);
-    metrics::counter("sim.domain.merge_stall_ns").add(stall_ns);
     // Telemetry sampler health: whether long runs are still sampling at
     // useful resolution. The period doubles on every decimation, so
     // `/metrics` showing `telemetry.period` far above the configured one
