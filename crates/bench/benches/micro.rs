@@ -22,17 +22,11 @@ use asap_sim::{Cycle, EventQueue, Summary, SystemConfig};
 
 const WARMUP_ITERS: u64 = 2_000;
 const BATCHES: u64 = 10;
-
-fn iters_per_batch() -> u64 {
-    std::env::var("ASAP_MICRO_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000)
-}
+const ITERS_PER_BATCH: u64 = 20_000;
 
 /// Runs `f` repeatedly and prints mean ± stddev ns/iter over the batches.
 fn bench(name: &str, f: impl FnMut()) {
-    bench_with(name, WARMUP_ITERS, iters_per_batch(), f);
+    bench_with(name, WARMUP_ITERS, ITERS_PER_BATCH, f);
 }
 
 /// [`bench`] with explicit warmup/iteration counts, for benchmarks whose

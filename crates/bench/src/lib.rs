@@ -14,17 +14,13 @@
 //! - `ASAP_BENCHES` — comma-separated benchmark labels to restrict to;
 //! - `ASAP_WALLCLOCK` — path of the host wall-clock report
 //!   (default `BENCH_WALLCLOCK.json` in the repo root; empty disables);
-//! - `ASAP_TRACE` / `ASAP_TRACE_CAP` — capture an event trace per run
-//!   (see the `trace_report` example and DESIGN.md's Observability
-//!   section);
-//! - `ASAP_TELEMETRY` / `ASAP_TELEMETRY_PERIOD` — sample occupancy
-//!   time series and the region-lifecycle log in virtual time (see
-//!   EXPERIMENTS.md §Telemetry);
+//! - `ASAP_TELEMETRY` — sample occupancy time series and the
+//!   region-lifecycle log in virtual time (see EXPERIMENTS.md
+//!   §Telemetry);
 //! - `ASAP_TELEMETRY_OUT` — directory for the per-figure merged
 //!   telemetry JSON (default `target/telemetry/`; empty disables);
-//! - `ASAP_RUNCACHE` / `ASAP_RUNCACHE_DIR` / `ASAP_RUNCACHE_CAP` —
-//!   content-addressed result memoization (`off`/`mem`/`disk`, default
-//!   `mem`; see [`runcache`]);
+//! - `ASAP_RUNCACHE` / `ASAP_RUNCACHE_DIR` — content-addressed result
+//!   memoization (`off`/`mem`/`disk`, default `mem`; see [`runcache`]);
 //! - `ASAP_PROGRESS` — live status line on stderr (`1`/`on` enable);
 //! - `ASAP_CRASH_SWEEP` — crash-point count for the `crash_sweep`
 //!   example, which drives [`run_crash_sweep`] (shared-prefix
@@ -32,11 +28,8 @@
 //! - `ASAP_SWEEP_JOBS` — fork-dispatch worker threads for crash sweeps
 //!   (default 1; snapshots are `Send`, so forks run on a scoped pool and
 //!   merge back in point order — output is identical at any value);
-//! - `ASAP_HTTP` — address for the live observability HTTP server
-//!   (e.g. `127.0.0.1:0`), started per grid run and stopped at grid
-//!   end: `/metrics`, `/metrics.json`, `/events`, `/progress`,
-//!   `/report` (see DESIGN.md §13). Purely an observer — figure stdout
-//!   is byte-identical with the server on or off.
+//! - `ASAP_EVENTS` — NDJSON run-event stream (`<path>` or `stderr`; see
+//!   [`asap_sim::obs::events`]).
 //!
 //! Unrecognized `ASAP_`-prefixed variables draw a warning on stderr at
 //! grid startup (see [`asap_sim::warn_unknown_asap_env`]) — a typo'd
@@ -52,7 +45,6 @@
 #![warn(missing_docs)]
 
 mod progress;
-mod report;
 pub mod runcache;
 
 use std::any::Any;
@@ -62,7 +54,7 @@ use std::time::{Duration, Instant};
 use asap_core::machine::RunOutcome;
 use asap_core::scheme::SchemeKind;
 use asap_sim::obs::{self, events, metrics, phase};
-use asap_sim::{Fingerprint, TelemetrySettings, TraceSettings};
+use asap_sim::{Fingerprint, TelemetrySettings};
 use asap_workloads::{
     run, run_sweep_with, BenchId, CrashPointOutcome, RunResult, SweepConfig, SweepResult,
     WorkloadSpec,
@@ -165,9 +157,6 @@ pub fn run_grid_with(
     cache: &RunCacheConfig,
 ) -> Vec<RunResult> {
     asap_sim::warn_unknown_asap_env();
-    // Start before the first emit so grid_start lands in the hub backlog
-    // and reaches /events subscribers that connect mid-run.
-    let server = start_obs_server();
     let events_on = events::enabled();
     let progress = Progress::from_env(specs.len());
     let t0 = Instant::now();
@@ -211,12 +200,6 @@ pub fn run_grid_with(
         // the figure's stdout must not depend on cache state).
         obs::note!("{}", runcache::summary_line(&runcache::counters()));
     }
-    if let Some(server) = server {
-        // Graceful: streams drain their pending batches, see the hub
-        // close, and every connection thread is joined before we return.
-        report::set_live(false);
-        server.shutdown();
-    }
     let failed: Vec<String> = (0..specs.len())
         .filter(|&i| results[i].is_none())
         .map(|i| format!("#{i} {}", cell_name(&specs[i])))
@@ -232,50 +215,6 @@ pub fn run_grid_with(
         .into_iter()
         .map(|r| r.expect("failed cells panicked above"))
         .collect()
-}
-
-/// The bench-side routes `run_grid` registers on the `ASAP_HTTP` server
-/// on top of the built-ins (`/metrics`, `/metrics.json`, `/events`):
-/// `/progress` (live grid progress JSON) and `/report` (the HTML run
-/// report regenerated from current state). Public so embedders — tests
-/// today, the simulation-as-a-service daemon the ROADMAP aims at — can
-/// mount the same endpoints on a server they manage themselves.
-pub fn obs_routes() -> Vec<(String, obs::http::Handler)> {
-    vec![
-        (
-            "/progress".to_string(),
-            Box::new(|| obs::http::Response::json(progress::progress_json())),
-        ),
-        (
-            "/report".to_string(),
-            Box::new(|| obs::http::Response::html(report::render_html())),
-        ),
-    ]
-}
-
-/// Starts the `ASAP_HTTP` observability server for one grid run, with
-/// the [`obs_routes`] registered on top of the built-ins. A bind
-/// failure warns and returns `None` — the observer must never fail the
-/// run it observes.
-fn start_obs_server() -> Option<obs::http::Server> {
-    let addr = std::env::var("ASAP_HTTP").ok()?;
-    let addr = addr.trim().to_string();
-    if addr.is_empty() {
-        return None;
-    }
-    match obs::http::Server::start(&addr, obs_routes()) {
-        Ok(server) => {
-            // Load-bearing note: ci.sh discovers the ephemeral port of
-            // `ASAP_HTTP=127.0.0.1:0` runs by grepping this line.
-            obs::note!("obs: http server listening on http://{}", server.addr());
-            report::set_live(true);
-            Some(server)
-        }
-        Err(e) => {
-            obs::warn!("obs: could not bind ASAP_HTTP={addr}: {e}; running without server");
-            None
-        }
-    }
 }
 
 /// The cached path of [`run_grid_with`]: probe the tiers, simulate the
@@ -375,9 +314,8 @@ pub fn run_crash_sweep(spec: &WorkloadSpec, points: &[u64], snap_every: u64) -> 
 /// [`run_crash_sweep`] with an explicit cache configuration. Emits the
 /// same observability records as a grid run — `grid_start`/`grid_end`
 /// brackets, one `cell_start`/`cell_end` pair per crash point plus one
-/// for the baseline, progress ticks — and feeds the live report's
-/// crash-sweep table when the `ASAP_HTTP` server is up. Stdout is
-/// untouched; results come back in point order whatever hits.
+/// for the baseline, progress ticks. Stdout is untouched; results come
+/// back in point order whatever hits.
 pub fn run_crash_sweep_with(
     spec: &WorkloadSpec,
     points: &[u64],
@@ -385,7 +323,6 @@ pub fn run_crash_sweep_with(
     cache: &RunCacheConfig,
 ) -> SweepResult {
     asap_sim::warn_unknown_asap_env();
-    let server = start_obs_server();
     let events_on = events::enabled();
     let progress = Progress::from_env(points.len() + 1);
     let t0 = Instant::now();
@@ -556,13 +493,6 @@ pub fn run_crash_sweep_with(
             tx: r.tx,
         })
         .collect();
-    if report::is_live() {
-        report::note_sweep(report::SweepNote {
-            bench: spec.bench.label().to_string(),
-            scheme: spec.scheme.name().to_string(),
-            points: baseline.crash_points.clone(),
-        });
-    }
     progress.finish();
     if events_on {
         let c = runcache::counters();
@@ -575,10 +505,6 @@ pub fn run_crash_sweep_with(
     }
     if cache.enabled() {
         obs::note!("{}", runcache::summary_line(&runcache::counters()));
-    }
-    if let Some(server) = server {
-        report::set_live(false);
-        server.shutdown();
     }
     // `prefix_writes` and `replayed_writes` stay 0 for a fully-warm
     // sweep: the prefix never re-executed, so there is nothing to
@@ -686,15 +612,6 @@ fn emit_cell_start(spec: &WorkloadSpec, fp: &Fingerprint) {
 /// (simulated), `"mem"`/`"disk"` (tier hit), or `"dedup"` (intra-grid
 /// fan-out copy).
 fn emit_cell_end(spec: &WorkloadSpec, fp: &Fingerprint, cache: &str, r: &RunResult, host_us: u64) {
-    if report::is_live() {
-        report::note_cell(report::CellNote {
-            bench: spec.bench.label().to_string(),
-            scheme: spec.scheme.name().to_string(),
-            cache: cache.to_string(),
-            host_us,
-            sim_cycles: r.exec_cycles,
-        });
-    }
     if !events::enabled() {
         return;
     }
@@ -717,19 +634,23 @@ fn total(results: &[&[RunResult]], f: impl Fn(&RunResult) -> u64) -> u64 {
 
 /// Appends one record for `figure` to the wall-clock trajectory file
 /// (`BENCH_WALLCLOCK.json`, override with `ASAP_WALLCLOCK`; set it empty to
-/// disable). The file is a JSON array of records:
-/// `{figure, host_seconds, jobs, cells, cache, sim_cycles, pm_writes,
-/// phases, unix_time}` — host seconds move with harness work; simulated
-/// cycles and traffic must not, which is what makes the trajectory useful
-/// to future perf PRs. `cache` is `"warm"` when any run-cache hit served
-/// part of this process (so its host seconds measure the memoized path,
-/// not the simulator) and `"cold"` otherwise; perf comparisons like the
-/// `ASAP_PERF_GATE` check in `ci.sh` must skip warm records. `phases` is
-/// the host-phase profile *taken* at write time
+/// disable), then exports the figure's merged telemetry (see
+/// [`merged_telemetry_json`]) whatever the wall-clock setting. The file
+/// is a JSON array of records: `{figure, host_seconds, jobs, cells,
+/// cache, sim_cycles, pm_writes, phases, metrics, unix_time}` — host
+/// seconds move with harness work; simulated cycles and traffic must
+/// not, which is what makes the trajectory useful to future perf PRs.
+/// `cache` is `"warm"` when any run-cache hit served part of this
+/// process (so its host seconds measure the memoized path, not the
+/// simulator) and `"cold"` otherwise; perf comparisons must skip warm
+/// records. `phases` is the host-phase profile *taken* at write time
 /// ([`phase::take_snapshot_json`]): each record owns the interval since
 /// the previous record, so back-to-back emits in one process (e.g.
 /// `crash_sweep` then `crash_sweep_legacy`) never repeat each other's
-/// `simulate_us`/`cells_timed`.
+/// `simulate_us`/`cells_timed`. `metrics` is the process-cumulative
+/// host metrics registry ([`metrics::snapshot_json`]): run-cache
+/// traffic, per-worker pool time, and the simulator's host-side
+/// structure counters.
 ///
 /// The note confirming the write goes to *stderr*: stdout stays
 /// byte-identical across `ASAP_JOBS` settings and host speeds.
@@ -740,7 +661,7 @@ pub fn emit_wallclock(figure: &str, elapsed: Duration, grids: &[&[RunResult]]) {
 /// [`emit_wallclock`] for crash sweeps: the record additionally carries
 /// `crash_points` (how many points the sweep covered) and
 /// `points_per_sec` (that count over the host seconds) — the sweep
-/// throughput the `ASAP_PERF_GATE` comparison in `ci.sh` tracks.
+/// throughput.
 pub fn emit_wallclock_sweep(
     figure: &str,
     elapsed: Duration,
@@ -757,15 +678,17 @@ fn emit_wallclock_env(
     crash_points: Option<u64>,
 ) {
     let path = match std::env::var("ASAP_WALLCLOCK") {
-        Ok(p) if p.is_empty() => return,
-        Ok(p) => std::path::PathBuf::from(p),
+        Ok(p) if p.is_empty() => None,
+        Ok(p) => Some(std::path::PathBuf::from(p)),
         // CARGO_MANIFEST_DIR of this crate is crates/bench.
-        Err(_) => {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_WALLCLOCK.json")
-        }
+        Err(_) => Some(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_WALLCLOCK.json"),
+        ),
     };
-    if let Err(e) = emit_wallclock_record(&path, figure, elapsed, grids, crash_points) {
-        obs::warn!("wallclock: could not write {}: {e}", path.display());
+    if let Some(path) = path {
+        if let Err(e) = emit_wallclock_record(&path, figure, elapsed, grids, crash_points) {
+            obs::warn!("wallclock: could not write {}: {e}", path.display());
+        }
     }
     emit_telemetry(figure, grids);
 }
@@ -809,7 +732,7 @@ pub fn emit_wallclock_record(
     let record = format!(
         "{{\"figure\":\"{}\",\"host_seconds\":{:.3},\"jobs\":{},\"cells\":{},\
          \"cache\":\"{}\",\"sim_cycles\":{},\"pm_writes\":{},{}\"phases\":{},\
-         \"unix_time\":{}}}",
+         \"metrics\":{},\"unix_time\":{}}}",
         figure,
         elapsed.as_secs_f64(),
         jobs(),
@@ -819,6 +742,7 @@ pub fn emit_wallclock_record(
         total(grids, |r| r.pm_writes),
         sweep_fields,
         phase::take_snapshot_json(),
+        metrics::snapshot_json(),
         unix_time,
     );
     // The file is a JSON array; append the record so repeated figure runs
@@ -863,7 +787,8 @@ const MAX_WALLCLOCK_ENTRIES: usize = 64;
 
 /// Extracts the top-level `{…}` objects of a JSON array as verbatim text
 /// slices. Brace-depth counting copes with nested objects (the `phases`
-/// sub-object); the records never put brace characters inside strings. A
+/// and `metrics` sub-objects); the records never put brace characters
+/// inside strings (metric names are dotted identifiers). A
 /// malformed file yields an empty list, so the caller starts a fresh
 /// trajectory rather than corrupting the file further.
 fn extract_json_objects(s: &str) -> Vec<String> {
@@ -944,7 +869,8 @@ pub fn merged_telemetry_json(figure: &str, grids: &[&[RunResult]]) -> Option<Str
 /// Writes the merged telemetry for `figure` under the `ASAP_TELEMETRY_OUT`
 /// directory (default `target/telemetry/` next to the workspace root;
 /// empty disables). A no-op when telemetry was off for every run. Called
-/// from [`emit_wallclock`], so every figure bench exports for free.
+/// from [`emit_wallclock`] whether or not the wall-clock record is on, so
+/// every figure bench exports for free.
 fn emit_telemetry(figure: &str, grids: &[&[RunResult]]) {
     let Some(merged) = merged_telemetry_json(figure, grids) else {
         return;
@@ -963,14 +889,12 @@ fn emit_telemetry(figure: &str, grids: &[&[RunResult]]) {
     }
 }
 
-/// The standard figure spec: Table 2 system, scaled ops/threads, tracing
-/// and telemetry per the `ASAP_TRACE*`/`ASAP_TELEMETRY*` environment
-/// knobs.
+/// The standard figure spec: Table 2 system, scaled ops/threads, and
+/// telemetry per the `ASAP_TELEMETRY` environment knob.
 pub fn fig_spec(bench: BenchId, scheme: SchemeKind) -> WorkloadSpec {
     WorkloadSpec::new(bench, scheme)
         .with_threads(threads())
         .with_ops(ops())
-        .with_trace(TraceSettings::from_env())
         .with_telemetry(TelemetrySettings::from_env())
 }
 

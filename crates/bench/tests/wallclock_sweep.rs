@@ -4,7 +4,8 @@
 //! scoped-timer totals were process-cumulative and never taken). Each
 //! record now *takes* the totals, so back-to-back emits report disjoint
 //! intervals. Also covers the sweep-throughput fields
-//! (`crash_points`/`points_per_sec`) the `ASAP_PERF_GATE` check reads.
+//! (`crash_points`/`points_per_sec`) and the `metrics` registry snapshot
+//! every record carries next to `phases`.
 //!
 //! One `#[test]`: the phase totals are process-global, so a parallel test
 //! thread would race the interval assertions.
@@ -85,6 +86,19 @@ fn consecutive_records_own_their_phase_intervals() {
     assert!((pps - 40.0 / 0.08).abs() < 1.0, "40 points / 0.08s: {pps}");
     assert!(b.get("crash_points").is_none());
     assert!(b.get("points_per_sec").is_none());
+
+    // Both records embed the host metrics registry; the grid's worker
+    // pool counted its cell there before either emit.
+    for rec in [a, b] {
+        let counters = rec
+            .get("metrics")
+            .and_then(|m| m.get("counters"))
+            .unwrap_or_else(|| panic!("record embeds metrics.counters: {rec:?}"));
+        assert!(
+            u64_field(counters, "pool.worker0.cells") >= Some(1),
+            "pool counter present: {counters:?}"
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&tmp);
 }

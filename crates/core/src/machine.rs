@@ -143,7 +143,7 @@ impl MachineConfig {
     }
 
     /// Enables event tracing with the given settings (e.g.
-    /// [`TraceSettings::from_env`] for the `ASAP_TRACE` knobs).
+    /// [`TraceSettings::enabled`]).
     pub fn with_trace(mut self, trace: TraceSettings) -> Self {
         self.trace = trace;
         self
@@ -151,7 +151,7 @@ impl MachineConfig {
 
     /// Enables virtual-time telemetry sampling and lifecycle recording
     /// (e.g. [`TelemetrySettings::from_env`] for the `ASAP_TELEMETRY`
-    /// knobs).
+    /// knob).
     pub fn with_telemetry(mut self, telemetry: TelemetrySettings) -> Self {
         self.telemetry = telemetry;
         self

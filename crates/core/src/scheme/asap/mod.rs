@@ -826,15 +826,6 @@ impl Scheme for Asap {
         };
         let entries = DepLists::decode(&sections[0]).expect("ASAP dump: dependence list");
         let lh_table = LhWpq::decode_table(&sections[1]).expect("ASAP dump: LH table");
-        // Diagnostic trace of what recovery is about to do; set the
-        // ASAP_DEBUG_RECOVERY environment variable to enable.
-        if std::env::var_os("ASAP_DEBUG_RECOVERY").is_some() {
-            eprintln!("=== recovery: {} uncommitted", entries.len());
-            for e in &entries {
-                eprintln!("  {} done={} deps={:?}", e.rid, e.done, e.deps);
-            }
-            eprintln!("  undo order: {:?}", recovery::undo_order(&entries));
-        }
         // §5.5: derive the happens-before order from the dependence DAG
         // and undo dependents before the regions they depend on.
         for rid in recovery::undo_order(&entries) {

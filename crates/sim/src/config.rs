@@ -280,31 +280,22 @@ impl Default for SystemConfig {
 
 /// Every `ASAP_`-prefixed environment variable the simulator and its
 /// harnesses understand. [`warn_unknown_asap_env`] checks the process
-/// environment against this registry so typos (`ASAP_TRACE_CAPP`, …) are
-/// reported instead of silently ignored.
+/// environment against this registry so typos (`ASAP_RUNCACHE_DIRR`, …)
+/// are reported instead of silently ignored.
 pub const KNOWN_ASAP_ENV: &[&str] = &[
     "ASAP_BENCHES",
     "ASAP_CRASH_SWEEP",
-    "ASAP_DEBUG_RECOVERY",
     "ASAP_EVENTS",
-    "ASAP_HTTP",
     "ASAP_JOBS",
-    "ASAP_LOG",
-    "ASAP_MICRO_ITERS",
     "ASAP_OPS",
-    "ASAP_PERF_GATE",
     "ASAP_PROGRESS",
     "ASAP_REPORT_OUT",
     "ASAP_RUNCACHE",
-    "ASAP_RUNCACHE_CAP",
     "ASAP_RUNCACHE_DIR",
     "ASAP_SWEEP_JOBS",
     "ASAP_TELEMETRY",
     "ASAP_TELEMETRY_OUT",
-    "ASAP_TELEMETRY_PERIOD",
     "ASAP_THREADS",
-    "ASAP_TRACE",
-    "ASAP_TRACE_CAP",
     "ASAP_WALLCLOCK",
 ];
 
@@ -426,16 +417,16 @@ mod tests {
     #[test]
     fn env_registry_flags_typos_only() {
         let names = [
-            "ASAP_TRACE",      // known
-            "ASAP_TRACE_CAPP", // typo
-            "ASAP_TELEMETRY",  // known
-            "ASAP_TELEMETRY_PERIOD",
+            "ASAP_RUNCACHE",      // known
+            "ASAP_RUNCACHE_DIRR", // typo
+            "ASAP_TELEMETRY",     // known
+            "ASAP_TELEMETRY_OUT",
             "PATH",      // non-ASAP: ignored
             "ASAPX_FOO", // no underscore prefix match: ignored
             "ASAP_FRobnicate",
         ];
         let unknown = unknown_asap_vars(names);
-        assert_eq!(unknown, vec!["ASAP_FRobnicate", "ASAP_TRACE_CAPP"]);
+        assert_eq!(unknown, vec!["ASAP_FRobnicate", "ASAP_RUNCACHE_DIRR"]);
     }
 
     #[test]

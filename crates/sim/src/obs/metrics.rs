@@ -1,4 +1,4 @@
-//! Process-global metrics registry: named counters, gauges, histograms.
+//! Process-global metrics registry: named counters and gauges.
 //!
 //! Handles are `&'static` and updates are single atomic operations, so a
 //! metric can sit on host-side paths (cache probes, worker-pool cells)
@@ -7,21 +7,20 @@
 //! in a `OnceLock`) rather than re-resolving by name.
 //!
 //! Counters only go up; gauges hold the last value set (plus a
-//! high-water-mark helper); histograms wrap [`crate::stats::Histogram`]
-//! behind a mutex and are meant for low-rate host-side samples, not the
-//! simulated hot path — simulated quantities belong in the per-run
-//! [`crate::stats::Stats`] registry, which stays deterministic.
+//! high-water-mark helper). Both observe the host; simulated quantities
+//! belong in the per-run [`crate::stats::Stats`] registry, which stays
+//! deterministic.
 //!
 //! [`snapshot_json`] renders everything as one JSON object that
-//! [`crate::json::parse`] round-trips; the bench harness embeds it in the
-//! HTML run report and tests assert it against legacy summary lines.
+//! [`crate::json::parse`] round-trips; the bench harness embeds it in
+//! every `BENCH_WALLCLOCK.json` record and the HTML run report, and tests
+//! assert it against legacy summary lines.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::json;
-use crate::stats::Histogram;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -70,27 +69,10 @@ impl Gauge {
     }
 }
 
-/// A histogram metric: log-bucketed quantiles over host-side samples.
-#[derive(Debug, Default)]
-pub struct HistogramMetric(Mutex<Histogram>);
-
-impl HistogramMetric {
-    /// Records one sample.
-    pub fn observe(&self, v: u64) {
-        self.0.lock().unwrap().record(v);
-    }
-
-    /// A clone of the current histogram state.
-    pub fn snapshot(&self) -> Histogram {
-        self.0.lock().unwrap().clone()
-    }
-}
-
 #[derive(Default)]
 struct Registry {
     counters: BTreeMap<String, &'static Counter>,
     gauges: BTreeMap<String, &'static Gauge>,
-    histograms: BTreeMap<String, &'static HistogramMetric>,
 }
 
 fn registry() -> &'static Mutex<Registry> {
@@ -122,17 +104,6 @@ pub fn gauge(name: &str) -> &'static Gauge {
     g
 }
 
-/// The histogram named `name`, created on first use.
-pub fn histogram(name: &str) -> &'static HistogramMetric {
-    let mut reg = registry().lock().unwrap();
-    if let Some(h) = reg.histograms.get(name) {
-        return h;
-    }
-    let h: &'static HistogramMetric = Box::leak(Box::default());
-    reg.histograms.insert(name.to_owned(), h);
-    h
-}
-
 /// The value of counter `name`, or 0 when it has never been touched
 /// (reading must not allocate registry slots as a side effect).
 pub fn counter_value(name: &str) -> u64 {
@@ -154,44 +125,8 @@ pub fn gauge_value(name: &str) -> u64 {
         .map_or(0, |g| g.get())
 }
 
-/// A point-in-time copy of the whole registry, in name order — the
-/// structured view behind [`snapshot_json`] and the Prometheus renderer
-/// in [`super::http`].
-#[derive(Clone, Debug, Default)]
-pub struct Snapshot {
-    /// `(name, value)` for every counter.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every gauge.
-    pub gauges: Vec<(String, u64)>,
-    /// `(name, state)` for every histogram.
-    pub histograms: Vec<(String, Histogram)>,
-}
-
-/// Copies the current registry state (one lock hold; histogram clones).
-pub fn snapshot() -> Snapshot {
-    let reg = registry().lock().unwrap();
-    Snapshot {
-        counters: reg
-            .counters
-            .iter()
-            .map(|(n, c)| (n.clone(), c.get()))
-            .collect(),
-        gauges: reg
-            .gauges
-            .iter()
-            .map(|(n, g)| (n.clone(), g.get()))
-            .collect(),
-        histograms: reg
-            .histograms
-            .iter()
-            .map(|(n, h)| (n.clone(), h.snapshot()))
-            .collect(),
-    }
-}
-
 /// One JSON object with every registered metric:
-/// `{"counters":{name:value,…},"gauges":{…},"histograms":{name:
-/// {"count":…,"min":…,"max":…,"mean":…,"p50":…,"p99":…},…}}`.
+/// `{"counters":{name:value,…},"gauges":{name:value,…}}`.
 /// Keys are sorted (BTreeMap), so two snapshots of identical state are
 /// byte-identical; the whole document parses with [`crate::json::parse`].
 pub fn snapshot_json() -> String {
@@ -209,25 +144,6 @@ pub fn snapshot_json() -> String {
             out.push(',');
         }
         out.push_str(&format!("\"{}\":{}", json::escape(name), g.get()));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in reg.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let h = h.snapshot();
-        let s = h.summary();
-        out.push_str(&format!(
-            "\"{}\":{{\"count\":{},\"min\":{},\"max\":{},\"mean\":{},\
-             \"p50\":{},\"p99\":{}}}",
-            json::escape(name),
-            s.count,
-            s.min,
-            s.max,
-            json::num(s.mean()),
-            h.quantile(0.50),
-            h.quantile(0.99),
-        ));
     }
     out.push_str("}}");
     out
@@ -260,9 +176,6 @@ mod tests {
     fn snapshot_parses_and_carries_values() {
         counter("test.metrics.snap").add(41);
         gauge("test.metrics.snap_gauge").set(9);
-        let h = histogram("test.metrics.snap_hist");
-        h.observe(3);
-        h.observe(5);
         let snap = json::parse(&snapshot_json()).expect("snapshot parses");
         assert_eq!(
             snap.get("counters")
@@ -276,12 +189,5 @@ mod tests {
                 .and_then(json::Value::as_u64),
             Some(9)
         );
-        let hist = snap
-            .get("histograms")
-            .and_then(|h| h.get("test.metrics.snap_hist"))
-            .expect("histogram present");
-        assert_eq!(hist.get("count").and_then(json::Value::as_u64), Some(2));
-        assert_eq!(hist.get("min").and_then(json::Value::as_u64), Some(3));
-        assert_eq!(hist.get("max").and_then(json::Value::as_u64), Some(5));
     }
 }

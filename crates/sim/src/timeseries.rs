@@ -1,11 +1,10 @@
 //! Virtual-time telemetry sampler with decimating, bounded buffers.
 //!
-//! When telemetry is enabled ([`TelemetrySettings`], env knobs
-//! `ASAP_TELEMETRY` / `ASAP_TELEMETRY_PERIOD`), the machine samples a set
-//! of registered gauges — WPQ occupancy per channel, hardware log fill,
-//! uncommitted region count, dependency-wait depth, dirty-line count,
-//! store-buffer depth — every `period` *simulated* cycles into a
-//! [`TimeSeries`].
+//! When telemetry is enabled ([`TelemetrySettings`], env knob
+//! `ASAP_TELEMETRY`), the machine samples a set of registered gauges —
+//! WPQ occupancy per channel, hardware log fill, uncommitted region
+//! count, dependency-wait depth, dirty-line count, store-buffer depth —
+//! every `period` *simulated* cycles into a [`TimeSeries`].
 //!
 //! Sampling is driven by virtual time only, so an enabled run is still
 //! bit-deterministic and serial/parallel harness results stay identical.
@@ -60,21 +59,14 @@ impl TelemetrySettings {
     }
 
     /// Reads `ASAP_TELEMETRY` (any non-empty value other than `0` enables)
-    /// and `ASAP_TELEMETRY_PERIOD` (cycles per sample, default
-    /// [`DEFAULT_TELEMETRY_PERIOD`]).
+    /// at the default period [`DEFAULT_TELEMETRY_PERIOD`].
     pub fn from_env() -> Self {
         let enabled = std::env::var("ASAP_TELEMETRY")
             .map(|v| !v.is_empty() && v != "0")
             .unwrap_or(false);
-        let period = std::env::var("ASAP_TELEMETRY_PERIOD")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(DEFAULT_TELEMETRY_PERIOD)
-            .max(1);
         TelemetrySettings {
             enabled,
-            period,
-            cap: DEFAULT_TELEMETRY_CAP,
+            ..TelemetrySettings::disabled()
         }
     }
 }

@@ -216,7 +216,7 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
-/// Trace configuration, normally read from the environment.
+/// Trace configuration (off by default).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceSettings {
     /// Master switch.
@@ -225,8 +225,7 @@ pub struct TraceSettings {
     pub cap: usize,
 }
 
-/// Default ring capacity (records) when tracing is enabled without an
-/// explicit `ASAP_TRACE_CAP`.
+/// Default ring capacity (records) of [`TraceSettings::enabled`].
 pub const DEFAULT_TRACE_CAP: usize = 1 << 20;
 
 impl TraceSettings {
@@ -249,22 +248,6 @@ impl TraceSettings {
     /// Tracing on keeping the newest `cap` records.
     pub fn with_cap(cap: usize) -> Self {
         TraceSettings { enabled: true, cap }
-    }
-
-    /// Reads `ASAP_TRACE` (truthy: anything but empty/`0`) and
-    /// `ASAP_TRACE_CAP` (records, default 2^20).
-    pub fn from_env() -> Self {
-        let on = std::env::var("ASAP_TRACE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        if !on {
-            return TraceSettings::disabled();
-        }
-        let cap = std::env::var("ASAP_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_TRACE_CAP);
-        TraceSettings::with_cap(cap)
     }
 }
 

@@ -882,9 +882,10 @@ fn flush_host_metrics(m: &Machine) {
     metrics::counter("sim.calendar.full_scans").add(m.hw().mem.calendar_full_scans());
     metrics::gauge("mem.fwd_slab.hwm").set_max(m.hw().mem.fwd_slab_hwm());
     // Telemetry sampler health: whether long runs are still sampling at
-    // useful resolution. The period doubles on every decimation, so
-    // `/metrics` showing `telemetry.period` far above the configured one
-    // (or a climbing `telemetry.decimations`) flags resolution loss.
+    // useful resolution. The period doubles on every decimation, so a
+    // wall-clock record's `metrics` object showing `telemetry.period` far
+    // above the configured one (or a climbing `telemetry.decimations`)
+    // flags resolution loss.
     let ts = m.timeseries();
     if ts.enabled() {
         metrics::gauge("telemetry.series").set(ts.names().len() as u64);

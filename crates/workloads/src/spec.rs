@@ -122,8 +122,8 @@ pub struct WorkloadSpec {
     pub track: bool,
     /// Arm a power failure at the N-th persistent write.
     pub crash_after: Option<u64>,
-    /// Event-trace settings (off by default; `ASAP_TRACE` via
-    /// [`TraceSettings::from_env`]).
+    /// Event-trace settings (off by default; e.g.
+    /// [`TraceSettings::enabled`]).
     pub trace: TraceSettings,
     /// Telemetry sampler settings (off by default; `ASAP_TELEMETRY` via
     /// [`TelemetrySettings::from_env`]).
@@ -210,7 +210,7 @@ impl WorkloadSpec {
     }
 
     /// Returns this spec with telemetry sampling configured (e.g.
-    /// [`TelemetrySettings::from_env`] for the `ASAP_TELEMETRY` knobs).
+    /// [`TelemetrySettings::from_env`] for the `ASAP_TELEMETRY` knob).
     pub fn with_telemetry(mut self, telemetry: TelemetrySettings) -> Self {
         self.telemetry = telemetry;
         self

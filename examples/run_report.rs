@@ -11,7 +11,6 @@
 //! Environment knobs:
 //!
 //! - `ASAP_OPS` / `ASAP_THREADS` — workload scale (defaults 40 / 2)
-//! - `ASAP_TELEMETRY_PERIOD` — sampling period in cycles
 //! - `ASAP_REPORT_OUT` — output path (default `target/run_report.html`)
 //!
 //! Telemetry is forced on (this report *is* the telemetry consumer).
@@ -270,18 +269,10 @@ fn build_report(
 }
 
 fn main() -> ExitCode {
-    let telemetry = {
-        let t = TelemetrySettings::from_env();
-        if t.enabled {
-            t
-        } else {
-            TelemetrySettings::enabled().with_period(t.period)
-        }
-    };
     let spec = WorkloadSpec::new(BenchId::Hm, SchemeKind::Asap)
         .with_threads(env_u64("ASAP_THREADS", 2) as u32)
         .with_ops(env_u64("ASAP_OPS", 40))
-        .with_telemetry(telemetry);
+        .with_telemetry(TelemetrySettings::enabled());
     // Scoped like a grid cell so the host-profile section has a real
     // Simulate entry even for this single-run report.
     let r = {

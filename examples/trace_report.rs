@@ -3,14 +3,12 @@
 //! with per-region cycle breakdowns and latency histograms.
 //!
 //! ```sh
-//! ASAP_TRACE=1 cargo run --release --example trace_report
+//! cargo run --release --example trace_report
 //! ```
 //!
-//! Environment knobs:
-//!
-//! - `ASAP_TRACE` — enable tracing (anything but empty/`0`)
-//! - `ASAP_TRACE_CAP` — ring-buffer capacity in records (default 2^20;
-//!   the newest records win when the ring overflows)
+//! Tracing is always on: the ring holds the newest
+//! `asap_sim::trace::DEFAULT_TRACE_CAP` records (2^20); older ones are
+//! dropped when it overflows.
 
 use std::fs;
 
@@ -19,13 +17,9 @@ use asap_sim::TraceSettings;
 use asap_workloads::{run, BenchId, WorkloadSpec};
 
 fn main() {
-    let settings = TraceSettings::from_env();
-    if !settings.enabled {
-        println!("note: tracing is OFF; set ASAP_TRACE=1 to capture events\n");
-    }
     let spec = WorkloadSpec::new(BenchId::Hm, SchemeKind::Asap)
         .with_ops(100)
-        .with_trace(settings);
+        .with_trace(TraceSettings::enabled());
     let r = run(&spec);
 
     println!("--- HM / ASAP on the Table 2 system ({} tx) ---\n", r.tx);
