@@ -124,6 +124,13 @@ if [ "$FAST_ENOUGH" != 1 ]; then
   echo "    (speedup gate skipped: single-CPU host)"
 fi
 
+echo "==> benchmark package (fmt, clippy, tests: every workload at tiny scale, untraced and traced)"
+# benchmark/ is a package of its own outside the workspace, so no stage
+# above builds it. Its tests require 0 re-drive mismatches.
+cargo --offline fmt --manifest-path benchmark/Cargo.toml --check
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+cargo test --release -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -309,6 +309,33 @@ fn bench_snapshot() {
     bench("machine_restore_small", || {
         m.restore(&snap);
     });
+
+    // The same two costs on the Table 2 system: 18 cores, 2 of them
+    // running, where the cache tag arrays are ~9 MB against a footprint of
+    // a few hundred lines. The restore case is one crash-sweep fork: run a
+    // region from the snapshot, crash, recover, restore.
+    let mut m = Machine::new(MachineConfig::new(SchemeKind::Asap, 2));
+    let a = m.pm_alloc(64 * 64).unwrap();
+    let region = |m: &mut Machine, i: u64| {
+        m.run_thread((i % 2) as usize, |ctx| {
+            ctx.begin_region();
+            ctx.write_u64(a.offset(i % 64 * 64), i);
+            ctx.end_region();
+        });
+    };
+    for i in 0..64u64 {
+        region(&mut m, i);
+    }
+    bench_with("machine_snapshot_table2", 20, 200, || {
+        black_box(m.snapshot());
+    });
+    let snap = m.snapshot();
+    bench_with("machine_restore_after_crash_table2", 20, 200, || {
+        region(&mut m, 64);
+        m.crash_now();
+        black_box(m.recover());
+        m.restore(&snap);
+    });
 }
 
 fn bench_sweep() {

@@ -187,14 +187,17 @@ pub enum StepOutcome {
 /// stats, traces), scheme state, thread clocks, locks and region
 /// bookkeeping.
 ///
-/// Taking one is O(volatile state + touched pages) pointer/`memcpy` work:
-/// the PM image contributes only a refcounted pointer-table copy, so large
-/// heaps snapshot in microseconds and pay per-page deep copies lazily, on
-/// first write after the fork ([`MemoryImage::snapshot`](asap_pmem::MemoryImage::snapshot)).
+/// Taking one copies the cached lines, WPQs, logs and scheme state
+/// outright, and only pointer tables for the two large structures: the PM
+/// image (one pointer per touched page) and the cache tag arrays (one per
+/// 16-set chunk, ~1,700 on Table 2 against ~9 MB of tags). Large heaps
+/// and Table 2 caches thus snapshot in microseconds and pay per-page or
+/// per-chunk deep copies lazily, on first write after the fork
+/// ([`MemoryImage::snapshot`](asap_pmem::MemoryImage::snapshot)).
 ///
 /// Restoring with [`Machine::restore`] reuses the destination's
-/// allocations (`clone_from` all the way down), which keeps a
-/// fork-restore-run crash sweep allocation-flat after the first fork.
+/// buffers (`clone_from` all the way down) and re-points only the pages
+/// and tag chunks that differ.
 pub struct MachineSnapshot {
     cfg: MachineConfig,
     hw: Hw,
@@ -220,8 +223,9 @@ impl MachineSnapshot {
         self.pm_write_ops
     }
 
-    /// Approximate resident size: the PM image's touched pages (shared
-    /// with the live machine until written) — the dominant term.
+    /// Approximate resident size of the PM image: its touched pages,
+    /// shared with the live machine until written. The cached lines and
+    /// any cache tag chunks are not counted.
     pub fn approx_image_bytes(&self) -> u64 {
         self.hw.image.touched_pages() as u64 * asap_pmem::PAGE_BYTES
     }
@@ -505,9 +509,10 @@ impl Machine {
     }
 
     /// A deep copy of the machine's complete state, cheap where it
-    /// matters: the PM image is captured copy-on-write (pointer-table
-    /// copy; see [`MemoryImage::snapshot`](asap_pmem::MemoryImage::snapshot)), everything volatile is flat
-    /// slab/SoA vectors that `memcpy`.
+    /// matters: the PM image and the cache tag arrays are captured
+    /// copy-on-write (pointer-table copies; see
+    /// [`MemoryImage::snapshot`](asap_pmem::MemoryImage::snapshot)), and
+    /// the rest of the volatile state is flat slab vectors that `memcpy`.
     ///
     /// Call at a step boundary (not from inside a step closure). Workload
     /// state living outside the machine — step closures, RNGs, per-thread
@@ -539,9 +544,10 @@ impl Machine {
 
     /// Rewinds the machine to `snap`, byte-for-byte: a subsequent run is
     /// indistinguishable — stats, traces, telemetry, outcomes — from one
-    /// that never forked. Reuses this machine's existing allocations
-    /// (`clone_from` down the whole ownership tree), so restore cost is
-    /// O(state actually differing), not O(heap).
+    /// that never forked. Reuses this machine's existing buffers
+    /// (`clone_from` down the whole ownership tree) and re-points only the
+    /// image pages and cache tag chunks that differ, so restore cost
+    /// follows the footprint, not the heap size or the cache geometry.
     ///
     /// # Panics
     ///

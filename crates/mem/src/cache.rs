@@ -23,17 +23,23 @@
 //!   pattern), with a one-entry last-lookup cache;
 //! - every tag way carries its line's slab slot, so a cache hit resolves
 //!   data with **zero** hash probes;
-//! - each [`TagArray`] is one fixed-stride SoA allocation (`ways ≤ 16`
-//!   inline per set) instead of `Vec<Vec<Way>>`;
+//! - each [`TagArray`] holds its sets inline (`ways ≤ 16`, found by mask)
+//!   in copy-on-write chunks of [`CHUNK_SETS`] sets, the PM image's
+//!   `Arc<Page>` layout: a snapshot copies chunk pointers, a restore
+//!   re-points the chunks that differ, a crash drops them, and a write
+//!   copies a shared chunk first. An empty chunk is `None`, so a Table 2
+//!   machine allocates tags only for the sets its cores touch;
 //! - the slab tracks per-core private-cache presence masks, so remote-hit
 //!   detection and store write-invalidation visit only the cores that
 //!   actually hold a copy instead of scanning every core's tag sets.
 //!
 //! None of this may change behaviour: victim choice depends only on the
-//! relative order of unique LRU stamps, and all scans iterate cores in
-//! ascending order — exactly like the nested-`Vec` layout it replaced.
+//! relative order of unique LRU stamps, ticks are drawn at the same points
+//! whether or not a chunk exists, and all scans iterate cores in ascending
+//! order — exactly like the nested-`Vec` layout it replaced.
 
 use std::cell::Cell;
+use std::sync::Arc;
 
 use asap_pmem::LineAddr;
 use asap_sim::{CacheConfig, SystemConfig};
@@ -109,7 +115,6 @@ const NO_SLOT: u32 = u32::MAX;
 /// 3/4 load. Unlike `PageIndex` it also supports removal (LLC evictions),
 /// implemented as tombstone-free backward-shift deletion so probe chains
 /// never degrade over a long run.
-#[derive(Clone)]
 struct LineIndex {
     /// Key per bucket; `u64::MAX` marks an empty bucket.
     keys: Vec<u64>,
@@ -120,6 +125,26 @@ struct LineIndex {
 }
 
 const EMPTY_KEY: u64 = u64::MAX;
+
+/// `clone_from` reuses the destination's tables, so a restore into a
+/// scratch machine does not reallocate them.
+impl Clone for LineIndex {
+    fn clone(&self) -> Self {
+        LineIndex {
+            keys: self.keys.clone(),
+            slots: self.slots.clone(),
+            mask: self.mask,
+            len: self.len,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.keys.clone_from(&src.keys);
+        self.slots.clone_from(&src.slots);
+        self.mask = src.mask;
+        self.len = src.len;
+    }
+}
 
 impl LineIndex {
     fn new() -> Self {
@@ -241,7 +266,6 @@ impl LineIndex {
 /// is set iff core `c`'s L1 tag array holds the line. One word covers up
 /// to 64 cores (`mask_words == 1`, the common case, keeps the single-word
 /// fast paths); wider machines get `ceil(cores / 64)` words per slot.
-#[derive(Clone)]
 struct LineSlab {
     /// Line address per slot; [`NO_LINE`] marks a free slot.
     keys: Vec<LineAddr>,
@@ -260,6 +284,35 @@ struct LineSlab {
     /// several times per simulated access for the same line, and a single
     /// compare beats even the open-addressed probe.
     last: Cell<(u64, u32)>,
+}
+
+/// `clone_from` reuses the destination's vectors, like [`LineIndex`].
+impl Clone for LineSlab {
+    fn clone(&self) -> Self {
+        LineSlab {
+            keys: self.keys.clone(),
+            states: self.states.clone(),
+            l1_mask: self.l1_mask.clone(),
+            l2_mask: self.l2_mask.clone(),
+            mask_words: self.mask_words,
+            free: self.free.clone(),
+            index: self.index.clone(),
+            len: self.len,
+            last: self.last.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.keys.clone_from(&src.keys);
+        self.states.clone_from(&src.states);
+        self.l1_mask.clone_from(&src.l1_mask);
+        self.l2_mask.clone_from(&src.l2_mask);
+        self.mask_words = src.mask_words;
+        self.free.clone_from(&src.free);
+        self.index.clone_from(&src.index);
+        self.len = src.len;
+        self.last.set(src.last.get());
+    }
 }
 
 impl LineSlab {
@@ -512,10 +565,46 @@ impl LineSlab {
     }
 }
 
+/// Widest set a [`TagArray`] holds inline.
+const MAX_WAYS: usize = CacheConfig::MAX_WAYS as usize;
+/// Sets per copy-on-write chunk: a chunk of 16-way sets is ~5 KB, so a
+/// Table 2 LLC is 512 chunks and a fork copies only the ones it writes.
+const CHUNK_SETS: usize = 16;
+
+/// One set's ways, inline. Only the first `ways` entries are used.
+#[derive(Clone, Debug)]
+struct TagSet {
+    /// Line per way; `NO_LINE` = empty way.
+    lines: [LineAddr; MAX_WAYS],
+    /// Slab slot per way (read only for non-empty ways).
+    slots: [u32; MAX_WAYS],
+    /// LRU stamp per way (read only for non-empty ways).
+    stamps: [u64; MAX_WAYS],
+    /// The MRU line (the way hint); `NO_LINE` when unknown.
+    mru_line: LineAddr,
+    /// Way index of the MRU line (valid when `mru_line` is not `NO_LINE`).
+    mru_way: u32,
+}
+
+const EMPTY_SET: TagSet = TagSet {
+    lines: [NO_LINE; MAX_WAYS],
+    slots: [NO_SLOT; MAX_WAYS],
+    stamps: [0; MAX_WAYS],
+    mru_line: NO_LINE,
+    mru_way: NO_SLOT,
+};
+
+type Chunk = [TagSet; CHUNK_SETS];
+
 /// A set-associative LRU tag array (timing only — data lives in the slab).
 ///
-/// One flat SoA allocation with a fixed stride of `ways` entries per set;
-/// an empty way holds [`NO_LINE`]. Each way also records its line's slab
+/// The sets live in fixed-size chunks of [`CHUNK_SETS`] inline sets behind
+/// copy-on-write `Arc`s, the PM image's page layout applied to tags:
+/// `clone` (a machine snapshot) copies chunk pointers, `clone_from` (a
+/// restore) re-points only the chunks that differ, `clear` (a crash) drops
+/// them, and the first write to a shared chunk copies that chunk alone.
+/// `None` is an all-empty chunk, so an array allocates tag storage only
+/// for the sets its cores actually touch. Each way records its line's slab
 /// slot, so tag hits hand the data location straight back.
 ///
 /// Each set carries a *way hint*: the index of its most-recently-used
@@ -526,19 +615,12 @@ impl LineSlab {
 /// LRU victim selection looks at. Every stamping operation draws a fresh
 /// `tick`, so stamps are unique per array and the LRU minimum is unique —
 /// victim choice cannot depend on scan order or physical layout.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct TagArray {
-    /// `sets * ways` line addresses, stride `ways`; `NO_LINE` = empty way.
-    lines: Vec<LineAddr>,
-    /// Slab slot per way (parallel to `lines`).
-    slots: Vec<u32>,
-    /// LRU stamp per way (parallel to `lines`).
-    stamps: Vec<u64>,
-    /// Per-set MRU line (the way hint); `NO_LINE` when unknown.
-    mru_line: Vec<LineAddr>,
-    /// Way index of the MRU line (valid when `mru_line` is not `NO_LINE`).
-    mru_way: Vec<u32>,
-    sets: usize,
+    /// `sets / CHUNK_SETS` (rounded up) chunks; `None` = every way empty.
+    chunks: Vec<Option<Arc<Chunk>>>,
+    /// `sets - 1`; the set count is a power of two.
+    set_mask: usize,
     ways: usize,
     tick: u64,
 }
@@ -547,14 +629,11 @@ impl TagArray {
     fn new(cfg: &CacheConfig) -> Self {
         let sets = cfg.sets() as usize;
         let ways = cfg.ways as usize;
-        debug_assert!(ways <= 16, "inline sets sized for ways <= 16");
+        assert!(sets.is_power_of_two(), "set count must be a power of two");
+        assert!(ways <= MAX_WAYS, "inline sets hold at most {MAX_WAYS} ways");
         TagArray {
-            lines: vec![NO_LINE; sets * ways],
-            slots: vec![NO_SLOT; sets * ways],
-            stamps: vec![0; sets * ways],
-            mru_line: vec![NO_LINE; sets],
-            mru_way: vec![NO_SLOT; sets],
-            sets,
+            chunks: vec![None; sets.div_ceil(CHUNK_SETS)],
+            set_mask: sets - 1,
             ways,
             tick: 0,
         }
@@ -562,24 +641,35 @@ impl TagArray {
 
     #[inline]
     fn set_of(&self, line: LineAddr) -> usize {
-        (line.0 % self.sets as u64) as usize
+        line.0 as usize & self.set_mask
+    }
+
+    /// `line`'s set, or `None` while its chunk is empty.
+    #[inline]
+    fn set(&self, line: LineAddr) -> Option<&TagSet> {
+        let set = self.set_of(line);
+        let chunk = self.chunks[set / CHUNK_SETS].as_deref()?;
+        Some(&chunk[set % CHUNK_SETS])
+    }
+
+    /// Mutable access to set number `set`, first materialising its chunk
+    /// if empty or copying it if shared.
+    #[inline]
+    fn set_mut(&mut self, set: usize) -> &mut TagSet {
+        let chunk =
+            self.chunks[set / CHUNK_SETS].get_or_insert_with(|| Arc::new([EMPTY_SET; CHUNK_SETS]));
+        &mut Arc::make_mut(chunk)[set % CHUNK_SETS]
     }
 
     /// Finds `line`'s way, returning its slab slot.
     #[inline]
     fn lookup(&self, line: LineAddr) -> Option<u32> {
-        let set = self.set_of(line);
-        if self.mru_line[set] == line {
-            let base = set * self.ways;
-            return Some(self.slots[base + self.mru_way[set] as usize]);
+        let s = self.set(line)?;
+        if s.mru_line == line {
+            return Some(s.slots[s.mru_way as usize]);
         }
-        let base = set * self.ways;
-        for w in 0..self.ways {
-            if self.lines[base + w] == line {
-                return Some(self.slots[base + w]);
-            }
-        }
-        None
+        let w = s.lines[..self.ways].iter().position(|&l| l == line)?;
+        Some(s.slots[w])
     }
 
     fn contains(&self, line: LineAddr) -> bool {
@@ -587,38 +677,35 @@ impl TagArray {
     }
 
     fn touch(&mut self, line: LineAddr) {
-        let set = self.set_of(line);
-        if self.mru_line[set] == line {
+        let way = match self.set(line) {
             // Already the newest stamp in its set; re-stamping preserves
             // the relative order, so skip it.
-            return;
-        }
+            Some(s) if s.mru_line == line => return,
+            Some(s) => s.lines[..self.ways].iter().position(|&l| l == line),
+            None => None,
+        };
+        // An absent line draws a tick too, as it always has.
         self.tick += 1;
-        let tick = self.tick;
-        let base = set * self.ways;
-        for w in 0..self.ways {
-            if self.lines[base + w] == line {
-                self.stamps[base + w] = tick;
-                self.mru_line[set] = line;
-                self.mru_way[set] = w as u32;
-                return;
-            }
+        if let Some(w) = way {
+            let tick = self.tick;
+            let s = self.set_mut(self.set_of(line));
+            s.stamps[w] = tick;
+            s.mru_line = line;
+            s.mru_way = w as u32;
         }
     }
 
     fn remove(&mut self, line: LineAddr) {
-        let set = self.set_of(line);
-        if self.mru_line[set] == line {
-            self.mru_line[set] = NO_LINE;
-            self.mru_way[set] = NO_SLOT;
+        let Some(s) = self.set(line) else { return };
+        let Some(w) = s.lines[..self.ways].iter().position(|&l| l == line) else {
+            return;
+        };
+        let s = self.set_mut(self.set_of(line));
+        if s.mru_line == line {
+            s.mru_line = NO_LINE;
+            s.mru_way = NO_SLOT;
         }
-        let base = set * self.ways;
-        for w in 0..self.ways {
-            if self.lines[base + w] == line {
-                self.lines[base + w] = NO_LINE;
-                return;
-            }
-        }
+        s.lines[w] = NO_LINE;
     }
 
     /// Inserts `line` (cached in slab slot `slot`); if the set is full,
@@ -636,33 +723,23 @@ impl TagArray {
     {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        debug_assert!(
-            (0..self.ways).all(|w| self.lines[base + w] != line),
-            "double insert"
-        );
-        let mut way = None;
-        for w in 0..self.ways {
-            if self.lines[base + w] == NO_LINE {
-                way = Some(w);
-                break;
-            }
-        }
+        let ways = self.ways;
+        let s = self.set_mut(self.set_of(line));
+        debug_assert!(!s.lines[..ways].contains(&line), "double insert");
         let mut victim = None;
-        let way = match way {
+        let way = match s.lines[..ways].iter().position(|&l| l == NO_LINE) {
             Some(w) => w,
             None => {
                 // LRU among evictable ways; fall back to overall LRU if all
                 // ways are locked. Stamps are unique, so `min` is unique.
                 let mut best: Option<(usize, u64)> = None;
                 let mut best_any: Option<(usize, u64)> = None;
-                for w in 0..self.ways {
-                    let stamp = self.stamps[base + w];
-                    if best_any.is_none_or(|(_, s)| stamp < s) {
+                for w in 0..ways {
+                    let stamp = s.stamps[w];
+                    if best_any.is_none_or(|(_, b)| stamp < b) {
                         best_any = Some((w, stamp));
                     }
-                    if evictable(self.slots[base + w]) && best.is_none_or(|(_, s)| stamp < s) {
+                    if evictable(s.slots[w]) && best.is_none_or(|(_, b)| stamp < b) {
                         best = Some((w, stamp));
                     }
                 }
@@ -670,28 +747,62 @@ impl TagArray {
                     Some((w, _)) => (w, false),
                     None => (best_any.expect("set is full").0, true),
                 };
-                victim = Some((self.lines[base + w], self.slots[base + w], forced));
+                victim = Some((s.lines[w], s.slots[w], forced));
                 w
             }
         };
-        self.lines[base + way] = line;
-        self.slots[base + way] = slot;
-        self.stamps[base + way] = tick;
+        s.lines[way] = line;
+        s.slots[way] = slot;
+        s.stamps[way] = tick;
         // The inserted line carries the newest stamp in the set; this also
         // retires any hint pointing at the victim.
-        self.mru_line[set] = line;
-        self.mru_way[set] = way as u32;
+        s.mru_line = line;
+        s.mru_way = way as u32;
         victim
     }
 
     fn lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.lines.iter().copied().filter(|l| *l != NO_LINE)
+        self.chunks
+            .iter()
+            .flatten()
+            .flat_map(|c| c.iter())
+            .flat_map(|s| s.lines[..self.ways].iter().copied())
+            .filter(|l| *l != NO_LINE)
     }
 
     fn clear(&mut self) {
-        self.lines.fill(NO_LINE);
-        self.mru_line.fill(NO_LINE);
-        self.mru_way.fill(NO_SLOT);
+        self.chunks.fill(None);
+    }
+}
+
+/// A snapshot: copies chunk pointers.
+impl Clone for TagArray {
+    fn clone(&self) -> Self {
+        TagArray {
+            chunks: self.chunks.clone(),
+            set_mask: self.set_mask,
+            ways: self.ways,
+            tick: self.tick,
+        }
+    }
+
+    /// A restore: re-points only the chunks whose pointer differs, reusing
+    /// the chunk table.
+    fn clone_from(&mut self, src: &Self) {
+        self.chunks.resize(src.chunks.len(), None);
+        for (dst, s) in self.chunks.iter_mut().zip(&src.chunks) {
+            let same = match (&*dst, s) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (None, None) => true,
+                _ => false,
+            };
+            if !same {
+                dst.clone_from(s);
+            }
+        }
+        self.set_mask = src.set_mask;
+        self.ways = src.ways;
+        self.tick = src.tick;
     }
 }
 
@@ -719,7 +830,6 @@ pub struct Probe {
 
 /// The full cache hierarchy: shared slab data store plus per-level SoA tag
 /// arrays carrying slab slot ids.
-#[derive(Clone)]
 pub struct CacheHierarchy {
     /// Shared data store for every cached line.
     slab: LineSlab,
@@ -732,6 +842,41 @@ pub struct CacheHierarchy {
     remote_lat: u64,
     store_cost: u64,
     evictions: EvictionCounts,
+}
+
+/// `clone` is the snapshot primitive: the tag arrays copy chunk pointers,
+/// the slab copies its live lines. `clone_from` is the restore: it
+/// overwrites `self` in place, so a scratch hierarchy restored again and
+/// again keeps its buffers (a derived `clone_from` would reallocate
+/// every field).
+impl Clone for CacheHierarchy {
+    fn clone(&self) -> Self {
+        CacheHierarchy {
+            slab: self.slab.clone(),
+            l1: self.l1.clone(),
+            l2: self.l2.clone(),
+            llc: self.llc.clone(),
+            l1_lat: self.l1_lat,
+            l2_lat: self.l2_lat,
+            llc_lat: self.llc_lat,
+            remote_lat: self.remote_lat,
+            store_cost: self.store_cost,
+            evictions: self.evictions,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.slab.clone_from(&src.slab);
+        self.l1.clone_from(&src.l1);
+        self.l2.clone_from(&src.l2);
+        self.llc.clone_from(&src.llc);
+        self.l1_lat = src.l1_lat;
+        self.l2_lat = src.l2_lat;
+        self.llc_lat = src.llc_lat;
+        self.remote_lat = src.remote_lat;
+        self.store_cost = src.store_cost;
+        self.evictions = src.evictions;
+    }
 }
 
 impl CacheHierarchy {

@@ -3,7 +3,8 @@
 //! The data-oriented core (slab-arena cache store, inline SoA tag sets,
 //! calendar event queue, slab-allocated WPQ forward index) exists so the
 //! per-access/per-op simulator loop never touches the allocator once its
-//! arenas are warm. This binary installs a counting global allocator and
+//! arenas are warm, and so restoring a cache snapshot reuses the live
+//! hierarchy's buffers. This binary installs a counting global allocator and
 //! drives each structure through a warm-up phase followed by a measured
 //! steady-state phase that must allocate exactly zero times.
 //!
@@ -102,6 +103,34 @@ fn steady_state_hot_paths_do_not_allocate() {
     churn_caches(&mut caches);
     let n = allocs_in(|| churn_caches(&mut caches));
     assert_eq!(n, 0, "cache slab/tag steady state must not allocate");
+
+    // --- Cache hierarchy restore: `clone_from` a snapshot back into the
+    // live hierarchy, the crash sweep's per-fork step. It overwrites the
+    // slab, its index and the tag chunk tables in place, so once the first
+    // restore has sized them the second allocates nothing — on the Table 2
+    // geometry too, whose tag arrays share chunks with the snapshot.
+    for cfg in [SystemConfig::small(), SystemConfig::table2()] {
+        let mut caches = CacheHierarchy::new(&cfg);
+        let churn_two_cores = |caches: &mut CacheHierarchy, offset: u64| {
+            for i in 0..4096u64 {
+                let kind = if i % 3 == 0 {
+                    AccessKind::Load
+                } else {
+                    AccessKind::Store
+                };
+                let line = pm_line(i * 7 + offset);
+                let fill = (!caches.contains(line)).then_some(([0; 64], true));
+                caches.access((i % 2) as usize, line, kind, fill, 10);
+            }
+        };
+        churn_two_cores(&mut caches, 0);
+        let snap = caches.clone();
+        churn_two_cores(&mut caches, 1);
+        caches.clone_from(&snap);
+        churn_two_cores(&mut caches, 2);
+        let n = allocs_in(|| caches.clone_from(&snap));
+        assert_eq!(n, 0, "{} cores: cache restore must not allocate", cfg.cores);
+    }
 
     // --- MemSystem: WPQ submit/drain churn over a warmed channel (the
     // forward-index nodes recycle through the channel freelist). The

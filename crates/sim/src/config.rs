@@ -22,6 +22,10 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
+    /// Widest associativity the model supports: the cache tag arrays hold
+    /// each set's ways inline ([`SystemConfig::validate`] rejects more).
+    pub const MAX_WAYS: u32 = 16;
+
     /// Number of sets implied by the geometry.
     ///
     /// # Panics
@@ -267,6 +271,14 @@ impl SystemConfig {
             if lines == 0 || !lines.is_multiple_of(c.ways as u64) {
                 return Err(format!("{name} geometry invalid"));
             }
+            // The tag arrays index sets by mask and hold sets inline.
+            if !(lines / c.ways as u64).is_power_of_two() {
+                return Err(format!("{name} set count must be a power of two"));
+            }
+            if c.ways > CacheConfig::MAX_WAYS {
+                let max = CacheConfig::MAX_WAYS;
+                return Err(format!("{name} has more than {max} ways"));
+            }
         }
         Ok(())
     }
@@ -390,6 +402,12 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = SystemConfig::table2();
         c.asap.log_entries_per_record = 9;
+        assert!(c.validate().is_err());
+        let mut c = SystemConfig::table2();
+        c.llc.size_bytes = 6 << 20; // 6144 sets: not a power of two
+        assert!(c.validate().is_err());
+        let mut c = SystemConfig::table2();
+        c.l2.ways = 32; // 512 sets, but wider than the inline set
         assert!(c.validate().is_err());
     }
 

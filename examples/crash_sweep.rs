@@ -40,11 +40,10 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(32);
-    // The small system config keeps machine state O(touched): a snapshot
-    // or restore under table2 geometry copies ~10MB of tag/slab arrays,
-    // which at smoke scale would cost as much as re-simulating. Crash
-    // sweeps probe recovery behavior, not figure timing, so the small
-    // config is the right tool.
+    // Crash sweeps probe recovery behavior, not figure timing, so the
+    // small system (4 cores, small caches) is enough. Table 2 works too:
+    // its cache tag arrays are copy-on-write, so a snapshot copies chunk
+    // pointers rather than the whole geometry.
     let mut spec = WorkloadSpec::new(BenchId::Hm, SchemeKind::Asap)
         .with_threads(threads())
         .with_ops(ops());
