@@ -80,7 +80,7 @@ test -s "$TEL_DIR/fig7_speedup.json" \
   || { echo "TELEMETRY FAILURE: fig7 export missing with ASAP_WALLCLOCK=" >&2; exit 1; }
 echo "    fig7 with telemetry on byte-identical; export written"
 
-echo "==> crash-point sweep smoke (CoW forks vs legacy re-runs, 32 points)"
+echo "==> crash-point sweep smoke (walked forks vs legacy re-runs, 32 points)"
 # The example asserts every fork byte-identical to a full crash_after
 # re-run, every recovery verified, and (at >= 32 points) the sweep at
 # least 5x faster than the legacy path. ASAP_WALLCLOCK= keeps CI from
@@ -93,7 +93,7 @@ grep -q "all 32 forks identical to legacy re-runs" target/crash_sweep.out \
 sed -n 's/^crash_sweep: /    /p' target/crash_sweep.err
 
 echo "==> parallel sweep smoke (1000 lifecycle points, ASAP_SWEEP_JOBS=2 vs serial)"
-# Snapshot-tree sweep over a 1000-point lifecycle plan, run twice: serial
+# Walked sweep over a 1000-point lifecycle plan, run twice: serial
 # and with two fork workers. Stdout must be byte-identical (determinism
 # at any ASAP_SWEEP_JOBS), every point must recover, and on multi-CPU
 # hosts the parallel pass must reach at least 1.25x the serial points/s

@@ -339,11 +339,10 @@ fn bench_snapshot() {
 }
 
 fn bench_sweep() {
-    // The sweep engine's two per-fork restore shapes, isolated from the
-    // driver. `far` stands in for a thinned-spine cadence snapshot a full
-    // tail behind the crash point; `near` for a refinement leaf one step
-    // away. The gap between the two is the work the snapshot tree
-    // removes from every fork.
+    // The sweep engine's two per-fork shapes, isolated from the driver.
+    // The flat reference restores a cadence snapshot a full tail behind
+    // the crash point and replays to it; the walk crashes a cache-less
+    // copy of the live machine at the point and recovers it.
     let mut m = Machine::new(MachineConfig::small(SchemeKind::Asap, 1));
     let a = m.pm_alloc(64 * 64).unwrap();
     let region = |m: &mut Machine, i: u64| {
@@ -370,10 +369,26 @@ fn bench_sweep() {
             region(&mut m, i);
         }
     });
-    // Snapshot tree: restore the refinement leaf adjacent to the point.
-    bench_with("sweep_restore_tree_leaf", 20, 200, || {
-        m.restore(&near);
-        region(&mut m, 63);
+    // Walk: refresh the crashed copy from the live machine, then recover
+    // it (the copy is built once, then refreshed in place).
+    let mut copy = None;
+    bench_with("sweep_crash_copy_small", 20, 200, || {
+        black_box(m.crash_copy(&mut copy).recover());
+    });
+    // The same on the Table 2 system (18 cores, 2 running), whose cache
+    // lines and tag chunks a refresh leaves out.
+    let mut t2 = Machine::new(MachineConfig::new(SchemeKind::Asap, 2));
+    let a = t2.pm_alloc(64 * 64).unwrap();
+    for i in 0..64u64 {
+        t2.run_thread((i % 2) as usize, |ctx| {
+            ctx.begin_region();
+            ctx.write_u64(a.offset(i % 64 * 64), i);
+            ctx.end_region();
+        });
+    }
+    let mut copy = None;
+    bench_with("sweep_crash_copy_table2", 20, 200, || {
+        black_box(t2.crash_copy(&mut copy).recover());
     });
 
     // Send-snapshot fork dispatch: hand a snapshot to a worker thread

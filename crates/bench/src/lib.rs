@@ -293,12 +293,12 @@ fn grid_with_cache(
     results
 }
 
-/// Runs a copy-on-write crash-point sweep for `spec` under the
-/// environment-configured result cache ([`RunCacheConfig::from_env`]).
+/// Runs a crash-point sweep for `spec` under the environment-configured
+/// result cache ([`RunCacheConfig::from_env`]).
 ///
-/// The sweep itself ([`asap_workloads::run_sweep`]) executes the shared
-/// prefix once and forks each crash point from the nearest machine
-/// snapshot; this wrapper adds the memoization layer: every fork is keyed
+/// The sweep itself ([`asap_workloads::run_sweep_with`], walking) executes
+/// the shared prefix once and crashes a copy of the live machine at each
+/// crash point; this wrapper adds the memoization layer: every fork is keyed
 /// by the fingerprint of `spec.with_crash_after(point)` — the *same* key
 /// an ordinary [`run_grid`] cell for that spec would use, because the
 /// fork's result is byte-identical to the legacy re-run (enforced by the
@@ -417,8 +417,8 @@ pub fn run_crash_sweep_with(
         let sim_t0 = Instant::now();
         let sweep = {
             let _t = phase::scope(phase::Phase::Simulate);
-            // Tree layout + env-configured fork pool: bit-identical to
-            // the serial flat sweep, only faster and memory-bounded.
+            // The walk + env-configured fork pool: bit-identical to the
+            // serial flat sweep, only faster and memory-bounded.
             let cfg = SweepConfig::tree(snap_every).with_jobs(sweep_jobs());
             run_sweep_with(spec, &missing, &cfg)
         };

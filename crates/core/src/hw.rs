@@ -359,6 +359,31 @@ impl Hw {
     pub fn hop(&self) -> u64 {
         self.cfg.mem.mc_hop_latency
     }
+
+    /// `clone_from` with the caches left empty
+    /// ([`CacheHierarchy::clone_empty_from`]): what a power failure leaves
+    /// of `src` before the persistence domain is flushed, without copying
+    /// the cache lines the failure clears.
+    pub fn clone_without_caches_from(&mut self, src: &Self) {
+        self.copy_from_except_caches(src);
+        self.caches.clone_empty_from(&src.caches);
+    }
+
+    /// `clone_from` of every field but the caches.
+    fn copy_from_except_caches(&mut self, src: &Self) {
+        self.cfg = src.cfg;
+        self.layout = src.layout;
+        self.mem.clone_from(&src.mem);
+        self.image.clone_from(&src.image);
+        self.heap.clone_from(&src.heap);
+        self.dram_heap.clone_from(&src.dram_heap);
+        self.stats.clone_from(&src.stats);
+        self.trace.clone_from(&src.trace);
+        self.thread_core.clone_from(&src.thread_core);
+        self.stall_acc.clone_from(&src.stall_acc);
+        self.lifecycle.clone_from(&src.lifecycle);
+        self.telemetry.clone_from(&src.telemetry);
+    }
 }
 
 /// Snapshot support: every field of [`Hw`] is simulation state, so a
@@ -387,19 +412,8 @@ impl Clone for Hw {
     }
 
     fn clone_from(&mut self, src: &Self) {
-        self.cfg = src.cfg;
-        self.layout = src.layout;
+        self.copy_from_except_caches(src);
         self.caches.clone_from(&src.caches);
-        self.mem.clone_from(&src.mem);
-        self.image.clone_from(&src.image);
-        self.heap.clone_from(&src.heap);
-        self.dram_heap.clone_from(&src.dram_heap);
-        self.stats.clone_from(&src.stats);
-        self.trace.clone_from(&src.trace);
-        self.thread_core.clone_from(&src.thread_core);
-        self.stall_acc.clone_from(&src.stall_acc);
-        self.lifecycle.clone_from(&src.lifecycle);
-        self.telemetry.clone_from(&src.telemetry);
     }
 }
 

@@ -30,6 +30,12 @@
 //! "loses power" at the matching persistent write: caches vanish, the
 //! WPQs and the scheme's persistence-domain structures are flushed
 //! (ADR), and [`Machine::recover`] rolls the image to a consistent state.
+//!
+//! A step run through [`Machine::step_thread_with`] hands the armed
+//! write to a [`CrashHook`] instead: the hook sees the machine exactly as
+//! the power failure would, takes a crashed copy of it
+//! ([`Machine::crash_copy`]) and re-arms, while the machine itself runs
+//! on. Crash sweeps use this to crash many points in one run.
 
 use std::any::Any;
 use std::collections::BTreeSet;
@@ -198,45 +204,30 @@ pub enum StepOutcome {
 /// Restoring with [`Machine::restore`] reuses the destination's
 /// buffers (`clone_from` all the way down) and re-points only the pages
 /// and tag chunks that differ.
-pub struct MachineSnapshot {
-    cfg: MachineConfig,
-    hw: Hw,
-    scheme: Box<dyn Scheme>,
-    clocks: ThreadClocks,
-    locks: Vec<VirtualLock>,
-    nest: Vec<u32>,
-    local_rid: Vec<u64>,
-    cur_rid: Vec<Option<Rid>>,
-    region_start: Vec<Cycle>,
-    started: Vec<bool>,
-    tracker: Option<RegionTracker>,
-    pm_write_ops: u64,
-    crash_armed: Option<u64>,
-    tx_count: u64,
-}
+pub struct MachineSnapshot(Machine);
 
 impl MachineSnapshot {
     /// Persistent-line writes performed by the machine when the snapshot
     /// was taken — the coordinate crash sweeps use to pick the latest
     /// snapshot preceding a crash point.
     pub fn pm_write_ops(&self) -> u64 {
-        self.pm_write_ops
+        self.0.pm_write_ops
     }
 
     /// Approximate resident size of the PM image: its touched pages,
     /// shared with the live machine until written. The cached lines and
     /// any cache tag chunks are not counted.
     pub fn approx_image_bytes(&self) -> u64 {
-        self.hw.image.touched_pages() as u64 * asap_pmem::PAGE_BYTES
+        self.0.hw.image.touched_pages() as u64 * asap_pmem::PAGE_BYTES
     }
 }
 
 impl std::fmt::Debug for MachineSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MachineSnapshot")
-            .field("scheme", &self.cfg.scheme)
-            .field("pm_write_ops", &self.pm_write_ops)
-            .field("makespan", &self.clocks.makespan())
+            .field("scheme", &self.0.cfg.scheme)
+            .field("pm_write_ops", &self.0.pm_write_ops)
+            .field("makespan", &self.0.clocks.makespan())
             .finish()
     }
 }
@@ -423,7 +414,12 @@ impl Machine {
         self.ensure_started(t);
         let now = self.clocks.clock(t);
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut ctx = ThreadCtx { m: self, t, now };
+            let mut ctx = ThreadCtx {
+                m: self,
+                t,
+                now,
+                hook: None,
+            };
             f(&mut ctx);
             ctx.now
         }));
@@ -479,11 +475,41 @@ impl Machine {
     /// the stack, so [`snapshot`](Self::snapshot) captures resumable
     /// state.
     pub fn step_thread(&mut self, t: usize, step: &mut StepFn) -> StepOutcome {
+        self.step(t, step, None)
+    }
+
+    /// [`step_thread`](Self::step_thread) with a [`CrashHook`] in place of
+    /// the power failure: when the armed write count is reached, the
+    /// machine calls `hook` with itself, mid-step, and re-arms at the
+    /// count the hook returns (`None` disarms). The step then carries on,
+    /// so this call never returns [`StepOutcome::Crashed`]. The hook is
+    /// borrowed for this one step, so it may borrow its caller's state.
+    pub fn step_thread_with(
+        &mut self,
+        t: usize,
+        step: &mut StepFn,
+        hook: &mut CrashHook<'_>,
+    ) -> StepOutcome {
+        self.step(t, step, Some(hook))
+    }
+
+    fn step(
+        &mut self,
+        t: usize,
+        step: &mut StepFn,
+        hook: Option<&mut CrashHook<'_>>,
+    ) -> StepOutcome {
         assert!(!self.crashed, "machine crashed: call recover() first");
         self.ensure_started(t);
         let now = self.clocks.clock(t);
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut ctx = ThreadCtx { m: self, t, now };
+            let mut ctx = ThreadCtx {
+                m: self,
+                t,
+                now,
+                // The cast shortens the hook's lifetime to this step's.
+                hook: hook.map(|h| h as &mut CrashHook<'_>),
+            };
             let more = step(&mut ctx);
             (more, ctx.now)
         }));
@@ -524,9 +550,15 @@ impl Machine {
     /// pre-crash machine instead; the crash is re-injectable).
     pub fn snapshot(&self) -> MachineSnapshot {
         assert!(!self.crashed, "snapshot of a crashed machine");
-        MachineSnapshot {
+        MachineSnapshot(self.copy_with(self.hw.clone()))
+    }
+
+    /// A copy of the machine's state with `hw` as its hardware. The
+    /// crash-candidate recorder is observer state and starts off.
+    fn copy_with(&self, hw: Hw) -> Machine {
+        Machine {
             cfg: self.cfg,
-            hw: self.hw.clone(),
+            hw,
             scheme: self.scheme.clone_box(),
             clocks: self.clocks.clone(),
             locks: self.locks.clone(),
@@ -538,8 +570,66 @@ impl Machine {
             tracker: self.tracker.clone(),
             pm_write_ops: self.pm_write_ops,
             crash_armed: self.crash_armed,
+            crashed: self.crashed,
             tx_count: self.tx_count,
+            crash_candidates: None,
         }
+    }
+
+    /// `clone_from` of every field of `src` but the hardware and the
+    /// crash-candidate recorder.
+    fn copy_from_except_hw(&mut self, src: &Machine) {
+        self.cfg = src.cfg;
+        self.scheme = src.scheme.clone_box();
+        self.clocks.clone_from(&src.clocks);
+        self.locks.clone_from(&src.locks);
+        self.nest.clone_from(&src.nest);
+        self.local_rid.clone_from(&src.local_rid);
+        self.cur_rid.clone_from(&src.cur_rid);
+        self.region_start.clone_from(&src.region_start);
+        self.started.clone_from(&src.started);
+        self.tracker.clone_from(&src.tracker);
+        self.pm_write_ops = src.pm_write_ops;
+        self.crash_armed = src.crash_armed;
+        self.crashed = src.crashed;
+        self.tx_count = src.tx_count;
+    }
+
+    /// Crashes a copy of this machine, leaving this one untouched: the
+    /// copy gets every field by `clone`/`clone_from`, then loses power,
+    /// which clears its caches. Recovery reads only the flushed
+    /// persistence domain, so the cleared cache contents change nothing it
+    /// sees.
+    ///
+    /// Called from a [`CrashHook`] at an armed write, the copy is exactly
+    /// the machine the legacy path leaves when that write raises its
+    /// power failure: the failure fires right after the write is counted,
+    /// unwinding the step closure changes no machine state (a thread's
+    /// clock is written only when its step returns), and the crash itself
+    /// reads the scheme, the WPQs and the image and only clears the
+    /// caches. Call [`recover`](Self::recover) on it next.
+    ///
+    /// `slot` holds the copy. An empty slot is filled with a clone; a
+    /// full one is refreshed in place, reusing its buffers and skipping
+    /// the cache lines the crash would clear
+    /// ([`Hw::clone_without_caches_from`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if this machine is in the crashed state.
+    pub fn crash_copy<'s>(&self, slot: &'s mut Option<Machine>) -> &'s mut Machine {
+        assert!(!self.crashed, "crash copy of a crashed machine");
+        let copy = match slot {
+            Some(c) => {
+                c.hw.clone_without_caches_from(&self.hw);
+                c.copy_from_except_hw(self);
+                c
+            }
+            None => slot.insert(self.copy_with(self.hw.clone())),
+        };
+        copy.crash_armed = None;
+        copy.perform_crash();
+        copy
     }
 
     /// Rewinds the machine to `snap`, byte-for-byte: a subsequent run is
@@ -555,28 +645,16 @@ impl Machine {
     /// configuration.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         assert_eq!(
-            self.cfg.threads, snap.cfg.threads,
+            self.cfg.threads, snap.0.cfg.threads,
             "snapshot from a differently-sized machine"
         );
+        let snap = &snap.0;
         assert_eq!(
             self.cfg.scheme, snap.cfg.scheme,
             "snapshot from a different scheme"
         );
-        self.cfg = snap.cfg;
         self.hw.clone_from(&snap.hw);
-        self.scheme = snap.scheme.clone_box();
-        self.clocks.clone_from(&snap.clocks);
-        self.locks.clone_from(&snap.locks);
-        self.nest.clone_from(&snap.nest);
-        self.local_rid.clone_from(&snap.local_rid);
-        self.cur_rid.clone_from(&snap.cur_rid);
-        self.region_start.clone_from(&snap.region_start);
-        self.started.clone_from(&snap.started);
-        self.tracker.clone_from(&snap.tracker);
-        self.pm_write_ops = snap.pm_write_ops;
-        self.crash_armed = snap.crash_armed;
-        self.crashed = false;
-        self.tx_count = snap.tx_count;
+        self.copy_from_except_hw(snap);
     }
 
     /// Persistent-line writes performed so far (the crash-injection
@@ -612,6 +690,12 @@ impl Machine {
     /// now — useful to exclude a setup phase from the crash budget.
     pub fn arm_crash_after_additional(&mut self, writes: u64) {
         self.crash_armed = Some(self.pm_write_ops + writes);
+    }
+
+    /// The [`pm_write_ops`](Self::pm_write_ops) count at which the armed
+    /// power failure fires, or `None` when nothing is armed.
+    pub fn crash_armed(&self) -> Option<u64> {
+        self.crash_armed
     }
 
     /// Advances every thread's clock to the current makespan — a barrier,
@@ -839,11 +923,21 @@ impl std::fmt::Debug for Machine {
     }
 }
 
+/// What [`Machine::step_thread_with`] runs at an armed write instead of
+/// raising the power failure. It receives the machine at exactly the
+/// point where the legacy path would crash — typically to take a
+/// [`Machine::crash_copy`] — and returns the next absolute
+/// [`pm_write_ops`](Machine::pm_write_ops) count to arm, or `None`.
+pub type CrashHook<'h> = dyn FnMut(&Machine) -> Option<u64> + 'h;
+
 /// A thread's handle onto the machine during one step.
 pub struct ThreadCtx<'m> {
     m: &'m mut Machine,
     t: usize,
     now: Cycle,
+    /// The step's crash hook, if it was run by
+    /// [`Machine::step_thread_with`].
+    hook: Option<&'m mut CrashHook<'m>>,
 }
 
 impl ThreadCtx<'_> {
@@ -1151,8 +1245,13 @@ impl ThreadCtx<'_> {
         if persistent {
             m.pm_write_ops += 1;
             if m.crash_armed.is_some_and(|n| m.pm_write_ops >= n) {
-                m.crash_armed = None;
-                panic::panic_any(SimCrash);
+                match self.hook.as_deref_mut() {
+                    Some(hook) => m.crash_armed = hook(m),
+                    None => {
+                        m.crash_armed = None;
+                        panic::panic_any(SimCrash);
+                    }
+                }
             }
         }
     }
@@ -1685,6 +1784,69 @@ mod tests {
             assert_eq!(report.uncommitted, legacy_report.uncommitted, "{kind}");
             assert_eq!(fingerprint(&m), legacy_fp, "{kind}: fork == legacy");
         }
+    }
+
+    #[test]
+    fn crash_hook_copy_matches_legacy_crash_and_live_run_continues() {
+        let mk = |crash_at: Option<u64>| {
+            let mut cfg = MachineConfig::small(SchemeKind::Asap, 2).with_tracking();
+            cfg.crash_after_pm_writes = crash_at;
+            let mut m = Machine::new(cfg);
+            let a = m.pm_alloc(64 * 8).unwrap();
+            m.drain();
+            m.sync_thread_clocks();
+            let rem: Vec<_> = (0..2)
+                .map(|_| std::rc::Rc::new(std::cell::Cell::new(6u64)))
+                .collect();
+            let steps = counter_steps(a, &rem);
+            (m, steps)
+        };
+        // The run makes 12 persistent writes.
+        let points = [3u64, 8, 8, 12];
+        // Legacy: one armed run per distinct point.
+        let legacy: Vec<_> = [3u64, 8, 12]
+            .iter()
+            .map(|&n| {
+                let (mut m, mut steps) = mk(Some(n));
+                assert_eq!(m.run(&mut steps), RunOutcome::Crashed);
+                let report = m.recover();
+                (report.uncommitted, fingerprint(&m))
+            })
+            .collect();
+        let (mut reference, mut steps) = mk(None);
+        assert_eq!(reference.run(&mut steps), RunOutcome::Completed);
+        reference.drain();
+
+        // One pass: the hook crashes a copy at each point and re-arms.
+        let (mut m, mut steps) = mk(None);
+        let mut copy = None;
+        let mut got = Vec::new();
+        let mut next = 0;
+        let mut hook = |live: &Machine| {
+            let c = live.crash_copy(&mut copy);
+            assert!(c.is_crashed() && !live.is_crashed());
+            assert_eq!(c.hw().caches.len(), 0, "the copy carries no cache lines");
+            let report = c.recover();
+            got.push((report.uncommitted, fingerprint(c)));
+            while next < points.len() && points[next] <= live.pm_write_ops() {
+                next += 1;
+            }
+            points.get(next).copied()
+        };
+        m.arm_crash_after_additional(points[0]);
+        m.begin_schedule();
+        while let Some(t) = m.next_runnable() {
+            let out = m.step_thread_with(t, &mut steps[t], &mut hook);
+            assert_ne!(out, StepOutcome::Crashed, "a hook replaces the crash");
+        }
+        assert_eq!(got, legacy, "each copy equals its legacy crash");
+        assert_eq!(m.crash_armed(), None, "the last point disarmed");
+        m.drain();
+        assert_eq!(
+            fingerprint(&m),
+            fingerprint(&reference),
+            "live run unchanged"
+        );
     }
 
     #[test]

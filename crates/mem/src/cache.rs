@@ -773,6 +773,25 @@ impl TagArray {
     fn clear(&mut self) {
         self.chunks.fill(None);
     }
+
+    /// `clone_from` followed by `clear`, without re-pointing the chunks
+    /// first: the same geometry and tick, every way empty.
+    fn clone_empty_from(&mut self, src: &Self) {
+        self.chunks.clear();
+        self.chunks.resize(src.chunks.len(), None);
+        self.set_mask = src.set_mask;
+        self.ways = src.ways;
+        self.tick = src.tick;
+    }
+}
+
+/// [`TagArray::clone_empty_from`] over a per-core vector of arrays.
+fn clone_empty_arrays(dst: &mut Vec<TagArray>, src: &[TagArray]) {
+    dst.truncate(src.len());
+    dst.extend(src[dst.len()..].iter().cloned());
+    for (d, s) in dst.iter_mut().zip(src) {
+        d.clone_empty_from(s);
+    }
 }
 
 /// A snapshot: copies chunk pointers.
@@ -900,6 +919,25 @@ impl CacheHierarchy {
     /// Eviction counters since construction.
     pub fn eviction_counts(&self) -> EvictionCounts {
         self.evictions
+    }
+
+    /// What a power failure leaves of `src`, written into `self`: the same
+    /// geometry, LRU ticks and eviction counters, with no line cached.
+    /// Equal to `clone_from` followed by
+    /// [`invalidate_all`](Self::invalidate_all), without copying the
+    /// lines first.
+    pub fn clone_empty_from(&mut self, src: &Self) {
+        self.slab.clear();
+        self.slab.mask_words = src.slab.mask_words;
+        clone_empty_arrays(&mut self.l1, &src.l1);
+        clone_empty_arrays(&mut self.l2, &src.l2);
+        self.llc.clone_empty_from(&src.llc);
+        self.l1_lat = src.l1_lat;
+        self.l2_lat = src.l2_lat;
+        self.llc_lat = src.llc_lat;
+        self.remote_lat = src.remote_lat;
+        self.store_cost = src.store_cost;
+        self.evictions = src.evictions;
     }
 
     /// Number of cores the hierarchy was built for.
@@ -1370,6 +1408,54 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.peek_level(0, LineAddr(1)), HitLevel::Memory);
         assert!(h.check_inclusive());
+    }
+
+    #[test]
+    fn clone_empty_from_behaves_like_clone_then_invalidate() {
+        let cfg = SystemConfig::small();
+        let sets = cfg.llc.sets();
+        let mut h = hierarchy();
+        // Enough same-set fills to evict, so the counters are non-zero.
+        for i in 0..2 * u64::from(cfg.llc.ways) {
+            h.access(
+                (i % 2) as usize,
+                LineAddr(i * sets),
+                AccessKind::Store,
+                fill(),
+                0,
+            );
+        }
+        assert!(h.eviction_counts().total > 0);
+        let mut crashed = h.clone();
+        crashed.invalidate_all();
+        // One destination holding lines of its own, one built for fewer
+        // cores than the source.
+        let mut full = hierarchy();
+        full.access(3, LineAddr(9), AccessKind::Load, fill(), 0);
+        let mut narrow = CacheHierarchy::new(&SystemConfig { cores: 1, ..cfg });
+        let mut copies = [&mut full, &mut narrow];
+        for c in copies.iter_mut() {
+            c.clone_empty_from(&h);
+            assert!(c.is_empty() && c.check_inclusive());
+            assert_eq!(c.eviction_counts(), h.eviction_counts());
+        }
+        // The same accesses from here on behave identically.
+        for i in 0..3 * u64::from(cfg.llc.ways) {
+            let line = LineAddr(i * sets + i % 3);
+            let core = (i % 4) as usize;
+            let want = crashed.access(core, line, AccessKind::Load, fill(), 0);
+            for c in copies.iter_mut() {
+                let got = c.access(core, line, AccessKind::Load, fill(), 0);
+                assert_eq!((got.latency, got.level), (want.latency, want.level));
+                assert_eq!(
+                    got.evicted.map(|e| e.line),
+                    want.evicted.as_ref().map(|e| e.line)
+                );
+            }
+        }
+        for c in copies {
+            assert_eq!(c.eviction_counts(), crashed.eviction_counts());
+        }
     }
 
     #[test]

@@ -588,6 +588,12 @@ impl MemSystem {
         self.events.full_scans()
     }
 
+    /// Returns [`calendar_full_scans`](Self::calendar_full_scans) and
+    /// zeroes it.
+    pub fn take_calendar_full_scans(&self) -> u64 {
+        self.events.take_full_scans()
+    }
+
     /// Counts DRAM traffic for a dirty non-PM writeback (fire-and-forget:
     /// DRAM writes are not persist operations and skip the WPQ).
     pub fn dram_writeback(&mut self, image: &mut MemoryImage, line: LineAddr, data: &[u8; 64]) {

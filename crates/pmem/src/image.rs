@@ -177,7 +177,9 @@ pub struct MemoryImage {
     last: Cell<(u64, u32)>,
     /// Hot-path access statistics (plain `Cell`s, not atomics — each
     /// image belongs to one simulation). Never printed by figures;
-    /// flushed to the host metrics registry after a run.
+    /// taken into the host metrics registry after a run. They count this
+    /// image's own work: a clone starts at zero and `clone_from` leaves
+    /// them alone, so a snapshot or a fork never re-counts its source's.
     stats: Cell<ImageStats>,
 }
 
@@ -355,10 +357,18 @@ impl MemoryImage {
         self.pages.len()
     }
 
-    /// Cumulative access statistics for this image (survive
-    /// [`reset`](Self::reset), like the image's identity does).
+    /// Access statistics since this image was created, cloned or last
+    /// drained by [`take_access_stats`](Self::take_access_stats). They
+    /// survive [`reset`](Self::reset) and
+    /// [`clone_from`](Clone::clone_from), like the image's identity does.
     pub fn access_stats(&self) -> ImageStats {
         self.stats.get()
+    }
+
+    /// Returns the access statistics and zeroes them, so a second flush
+    /// of the same image adds nothing.
+    pub fn take_access_stats(&self) -> ImageStats {
+        self.stats.take()
     }
 
     /// Forgets every page — contents and persistent bits — returning the
@@ -391,13 +401,16 @@ impl MemoryImage {
 /// `clone` is the snapshot primitive (pointer-table copy, refcount bumps);
 /// `clone_from` additionally reuses the destination's page table and index
 /// buffers, which is what makes repeated restore-into-scratch forks cheap.
+/// Neither copies the access statistics: a clone starts at zero and
+/// `clone_from` keeps the destination's, so each image counts only the
+/// lookups and copy-on-write faults it performed itself.
 impl Clone for MemoryImage {
     fn clone(&self) -> Self {
         MemoryImage {
             pages: self.pages.clone(),
             index: self.index.clone(),
             last: self.last.clone(),
-            stats: self.stats.clone(),
+            stats: Cell::new(ImageStats::default()),
         }
     }
 
@@ -405,7 +418,6 @@ impl Clone for MemoryImage {
         self.pages.clone_from(&src.pages);
         self.index.clone_from(&src.index);
         self.last.set(src.last.get());
-        self.stats.set(src.stats.get());
     }
 }
 
@@ -665,6 +677,29 @@ mod tests {
         assert_eq!(m.shared_pages(), 8); // still shared with b
         drop(b);
         assert_eq!(m.shared_pages(), 0); // exclusively owned again
+    }
+
+    #[test]
+    fn copies_count_only_their_own_accesses() {
+        let mut m = MemoryImage::new();
+        for p in 0..4u64 {
+            m.write_u64(PmAddr(p * PAGE_BYTES), p);
+        }
+        let before = m.access_stats();
+        assert!(before.lookups > 0);
+        // A snapshot starts from zero and does not disturb the source.
+        let snap = m.snapshot();
+        assert_eq!(snap.access_stats(), ImageStats::default());
+        assert_eq!(m.access_stats(), before);
+        // `clone_from` keeps the destination's counters.
+        let mut scratch = MemoryImage::new();
+        scratch.write_u64(PmAddr(0), 1);
+        let own = scratch.access_stats();
+        scratch.clone_from(&m);
+        assert_eq!(scratch.access_stats(), own);
+        // Taking drains: a second take reads zero.
+        assert_eq!(m.take_access_stats(), before);
+        assert_eq!(m.take_access_stats(), ImageStats::default());
     }
 
     #[test]

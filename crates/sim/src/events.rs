@@ -49,7 +49,6 @@ struct Entry<E> {
 /// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
 /// assert_eq!(order, ['z', 'x', 'y']);
 /// ```
-#[derive(Clone)]
 pub struct EventQueue<E> {
     /// Wheel slots; an event at `at` lives in slot
     /// `(at >> BUCKET_SHIFT) & SLOT_MASK`. Entries from different wheel
@@ -75,9 +74,37 @@ pub struct EventQueue<E> {
     occ: [u64; SLOTS / 64],
     /// How many times [`Self::find_min`] fell back to the sparse-tail
     /// full scan (every pending event more than one wheel revolution
-    /// away). A plain `Cell` — never on stdout, flushed to the host
-    /// metrics registry (`sim.calendar.full_scans`) after a run.
+    /// away). A plain `Cell` — never on stdout, taken into the host
+    /// metrics registry (`sim.calendar.full_scans`) after a run. It counts
+    /// this queue's own scans: a clone starts at zero and `clone_from`
+    /// leaves it alone.
     full_scans: Cell<u64>,
+}
+
+/// A clone copies every pending event and search hint but not the
+/// host-side `full_scans` counter (see the field); `clone_from` reuses the
+/// destination's bucket buffers.
+impl<E: Clone> Clone for EventQueue<E> {
+    fn clone(&self) -> Self {
+        EventQueue {
+            buckets: self.buckets.clone(),
+            len: self.len,
+            next_seq: self.next_seq,
+            cursor: self.cursor.clone(),
+            cached_min: self.cached_min.clone(),
+            occ: self.occ,
+            full_scans: Cell::new(0),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.buckets.clone_from(&src.buckets);
+        self.len = src.len;
+        self.next_seq = src.next_seq;
+        self.cursor.set(src.cursor.get());
+        self.cached_min.set(src.cached_min.get());
+        self.occ = src.occ;
+    }
 }
 
 impl<E> EventQueue<E> {
@@ -266,6 +293,11 @@ impl<E> EventQueue<E> {
     pub fn full_scans(&self) -> u64 {
         self.full_scans.get()
     }
+
+    /// Returns [`full_scans`](Self::full_scans) and zeroes it.
+    pub fn take_full_scans(&self) -> u64 {
+        self.full_scans.take()
+    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -381,6 +413,11 @@ mod tests {
         // event must coexist with the near one): one full scan finds it.
         assert_eq!(q.pop(), Some((Cycle(9 * span), 'b')));
         assert!(q.full_scans() >= 1);
+        // The counter is the queue's own: a clone starts at zero, and
+        // taking it drains it.
+        assert_eq!(q.clone().full_scans(), 0);
+        assert!(q.take_full_scans() >= 1);
+        assert_eq!(q.full_scans(), 0);
     }
 
     /// Pushing an earlier event after the cursor has advanced past its

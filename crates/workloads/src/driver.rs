@@ -424,14 +424,15 @@ pub struct SweepResult {
     /// range); a pilot `run_sweep(spec, &[], u64::MAX)` measures it for
     /// the cost of one uninterrupted run.
     pub prefix_writes: u64,
-    /// Persistent writes re-simulated across all forks (distance from
-    /// each fork's restored snapshot to where its run stopped) — the cost
-    /// the snapshot layout exists to minimize. Also accumulated into the
-    /// process-global `snapshot.replayed_writes` metric.
+    /// Persistent writes re-simulated across all forks: for a flat fork,
+    /// the distance from its restored snapshot to where its run stopped.
+    /// A walked fork crashes a copy of the live machine at its point, so
+    /// it replays nothing, and a walked sweep reads 0. Also accumulated
+    /// into the process-global `snapshot.replayed_writes` metric.
     pub replayed_writes: u64,
 }
 
-/// Sweep-engine tuning: snapshot layout and fork dispatch.
+/// Sweep-engine tuning: how forks are made and dispatched.
 ///
 /// The configuration never affects results — every combination produces
 /// bit-identical [`RunResult`]s (the equivalence suites enforce it) —
@@ -439,41 +440,45 @@ pub struct SweepResult {
 #[derive(Clone, Copy, Debug)]
 pub struct SweepConfig {
     /// Spine snapshot cadence in persistent writes (quantized to step
-    /// boundaries; minimum 1).
+    /// boundaries; minimum 1). A serial walk takes no snapshots.
     pub snap_every: u64,
     /// Most spine snapshots retained (0 = unbounded). When the prefix
     /// outgrows the budget, every other spine snapshot is evicted and the
     /// cadence doubles — memory stays O(budget) while worst-case replay
     /// distance stays O(prefix / budget).
     pub snap_budget: usize,
-    /// Refinement snapshots — the snapshot tree's leaves. Each fork first
-    /// advances (unarmed) to the last step boundary before its crash
-    /// point and snapshots there, so the armed replay is at most one
-    /// step's writes instead of a cadence tail, and consecutive points in
-    /// a chunk share their advance work.
-    pub refine: bool,
+    /// Walk the points in one pass: the live machine steps through them
+    /// in ascending order, and at each point's write a cache-less copy of
+    /// it crashes, recovers and is verified while the live machine
+    /// carries on ([`Machine::crash_copy`]). `false` is the flat
+    /// reference path: every fork restores the latest spine snapshot
+    /// before its point and replays, armed, to the legacy power failure.
+    pub walk: bool,
     /// Fork-dispatch worker threads on [`asap_sim::pool::ordered`] (1 =
     /// inline on the calling thread; results are identical either way).
+    /// A walk at 1 job is the prefix pass itself; at more, each chunk of
+    /// points restores one spine snapshot and walks from there.
     pub jobs: usize,
 }
 
 impl SweepConfig {
-    /// PR 9's layout: flat cadence, no tree, serial dispatch.
+    /// The flat reference layout: unbounded spine, one restore and one
+    /// armed replay per point, serial dispatch.
     pub fn flat(snap_every: u64) -> Self {
         SweepConfig {
             snap_every,
             snap_budget: 0,
-            refine: false,
+            walk: false,
             jobs: 1,
         }
     }
 
-    /// The tree layout: budgeted spine plus per-fork refinement leaves.
+    /// The walk, with a budgeted spine for parallel chunks.
     pub fn tree(snap_every: u64) -> Self {
         SweepConfig {
             snap_every,
             snap_budget: 64,
-            refine: true,
+            walk: true,
             jobs: 1,
         }
     }
@@ -491,15 +496,12 @@ impl SweepConfig {
     }
 }
 
-/// Runs a crash-point sweep over one workload: the prefix simulates once,
-/// machine snapshots are taken copy-on-write every `snap_every`
-/// persistent writes (quantized to step boundaries), and every crash
-/// point forks from the latest preceding snapshot instead of
-/// re-simulating from cycle 0 — O(points × dirty state) instead of
-/// O(points × run length).
-///
-/// This is the flat serial layout, [`SweepConfig::flat`]; see
-/// [`run_sweep_with`] for the snapshot tree and parallel fork dispatch.
+/// Runs a crash-point sweep over one workload with the flat reference
+/// layout, [`SweepConfig::flat`]: the prefix simulates once, machine
+/// snapshots are taken copy-on-write every `snap_every` persistent writes
+/// (quantized to step boundaries), and every crash point forks from the
+/// latest preceding snapshot instead of re-simulating from cycle 0. See
+/// [`run_sweep_with`] for the one-pass walk and parallel dispatch.
 ///
 /// Each fork arms the power failure at exactly the absolute write count
 /// the legacy path would have crashed on, and both paths execute the same
@@ -516,185 +518,180 @@ pub fn run_sweep(spec: &WorkloadSpec, points: &[u64], snap_every: u64) -> SweepR
     run_sweep_with(spec, points, &SweepConfig::flat(snap_every))
 }
 
-/// Immutable state one sweep's fork workers share by reference.
+/// A spine snapshot: machine plus driver state at a step boundary.
+type SpineSnap = (MachineSnapshot, Vec<ThreadState>);
+
+/// State one sweep's fork workers share by reference.
 struct SweepShared<'a> {
     spec: &'a WorkloadSpec,
     marks: SetupMarks,
-    cfg: SweepConfig,
     /// Requested crash points, in request order.
     points: &'a [u64],
-    /// Point indices sorted ascending by point value — the processing
-    /// order that keeps each chunk on one stretch of the prefix.
-    order: &'a [usize],
-    /// Realized post-step `pm_write_ops` values of the prefix, ascending
-    /// — the refinement targets (every crash point lies between two).
-    boundaries: &'a [u64],
-    /// Spine snapshots. `Mutex` because a snapshot is `Send` but not
-    /// `Sync` (the PM image keeps single-thread `Cell` caches): workers
-    /// hold the lock only for the restore `memcpy`.
-    spine: &'a [Mutex<(MachineSnapshot, Vec<ThreadState>)>],
-    /// `pm_write_ops` of each spine snapshot (lock-free index).
-    spine_writes: &'a [u64],
+    /// Spine snapshots with their `pm_write_ops`, ascending. `Mutex`
+    /// because a snapshot is `Send` but not `Sync` (the PM image keeps
+    /// single-thread `Cell` caches): workers hold the lock only for the
+    /// restore.
+    spine: Vec<(u64, Mutex<SpineSnap>)>,
     bench: AnyBench,
 }
 
-/// Processes one contiguous chunk of the sorted point order on `m`,
-/// returning `(point index, fork result, replayed writes)` per point.
-///
-/// Flat mode restores the latest preceding spine snapshot for every
-/// point. Tree mode restores once per chunk, then walks forward taking a
-/// refinement leaf at the last step boundary before each point: the
-/// armed replay is bounded by one step's writes, and consecutive points
-/// share the advance work. Both modes run the same
-/// [`Machine::step_thread`] loop as [`run`], so results are identical.
-fn sweep_chunk(
+impl SweepShared<'_> {
+    /// The absolute write count at which point `i` crashes. `n = 0` fires
+    /// on the next write exactly like `n = 1` (the arming check is `>=`).
+    fn target(&self, i: usize) -> u64 {
+        self.marks.armed_base + self.points[i].max(1)
+    }
+
+    /// Restores `m` and `state` to the latest spine snapshot strictly
+    /// below point `i`'s crashing write, returning its write count.
+    fn restore_spine(&self, i: usize, m: &mut Machine, state: &SharedStates) -> u64 {
+        let target = self.target(i);
+        let (w, snap) = &self.spine[self.spine.partition_point(|(w, _)| *w < target) - 1];
+        let g = snap.lock().expect("no restore panics holding the lock");
+        m.restore(&g.0);
+        state.borrow_mut().clone_from(&g.1);
+        *w
+    }
+}
+
+/// Counts one fork and emits its `crash_fork` event. `snap_writes` is the
+/// post-setup write count the fork's state came from: a spine snapshot
+/// for a flat fork, its own crashing write for a walked one.
+fn note_fork(spec: &WorkloadSpec, n: u64, snap_writes: u64, replayed: u64, worker: u64) {
+    use asap_sim::obs::{events, metrics};
+    metrics::counter("snapshot.forks").inc();
+    metrics::counter("snapshot.replayed_writes").add(replayed);
+    if events::enabled() {
+        events::Event::new("crash_fork")
+            .field_str("bench", spec.bench.label())
+            .field_str("scheme", &spec.scheme.to_string())
+            .field_u64("crash_after", n)
+            .field_u64("snap_writes", snap_writes)
+            .field_u64("replayed", replayed)
+            .field_u64("tree_depth", 0)
+            .field_u64("worker", worker)
+            .emit();
+    }
+}
+
+/// The flat reference path over `idxs`: each point restores the latest
+/// preceding spine snapshot and replays, armed, through the same
+/// [`Machine::run`] loop as [`run`] to the legacy power failure. Returns
+/// `(point index, fork result, replayed writes)` per point.
+fn flat_forks(
     sh: &SweepShared<'_>,
-    range: std::ops::Range<usize>,
+    idxs: &[usize],
     m: &mut Machine,
     worker: u64,
 ) -> Vec<(usize, RunResult, u64)> {
-    use asap_sim::obs::{events, metrics};
-    let idxs = &sh.order[range];
-    let mut done = Vec::with_capacity(idxs.len());
-    if idxs.is_empty() {
-        return done;
-    }
     let spec = sh.spec;
     let mut bench = sh.bench;
     let state: SharedStates = Rc::new(RefCell::new(Vec::new()));
-    // The chunk's refinement leaf: machine + driver state at the last
-    // step boundary before the current point, re-snapshotted as the walk
-    // advances (depth counts leaves taken since the spine snapshot).
-    let mut cur: Option<(MachineSnapshot, Vec<ThreadState>)> = None;
-    let mut depth = 0u64;
-    if sh.cfg.refine {
-        let limit = sh.marks.armed_base + sh.points[idxs[0]].max(1);
-        let si = sh.spine_writes.partition_point(|&w| w < limit) - 1;
-        let g = sh.spine[si].lock().unwrap();
-        m.restore(&g.0);
-        state.borrow_mut().clone_from(&g.1);
+    idxs.iter()
+        .map(|&i| {
+            let n = sh.points[i];
+            let snap_writes = sh.restore_spine(i, m, &state);
+            m.arm_crash_after_additional(sh.marks.armed_base + n - snap_writes);
+            let mut steps = shared_steps(bench, spec, &state);
+            let outcome = m.run(&mut steps);
+            drop(steps);
+            let replayed = m.pm_write_ops() - snap_writes;
+            note_fork(spec, n, snap_writes - sh.marks.armed_base, replayed, worker);
+            let r = collect(m, &mut bench, &spec.with_crash_after(n), outcome, &sh.marks);
+            (i, r, replayed)
+        })
+        .collect()
+}
+
+/// The walk: steps `m` (with `state`, its driver state) from a step
+/// boundary until every point of `idxs` (sorted ascending) has fired —
+/// or to the end of the run when `to_end`. At each point's write a
+/// [`CrashHook`](asap_core::machine::CrashHook) takes a
+/// [`Machine::crash_copy`] of the live machine, which is recovered,
+/// verified and collected while the live machine carries on. Points that
+/// fire on the same write share one copy. Returns `(point index, fork
+/// result, replayed writes)` per point that fired — a walked fork replays
+/// nothing, so always 0; points beyond the run's last write are the
+/// caller's.
+fn walk(
+    sh: &SweepShared<'_>,
+    idxs: &[usize],
+    m: &mut Machine,
+    state: &SharedStates,
+    to_end: bool,
+    worker: u64,
+) -> Vec<(usize, RunResult, u64)> {
+    let spec = sh.spec;
+    let mut bench = sh.bench;
+    let mut done = Vec::with_capacity(idxs.len());
+    let mut copy: Option<Machine> = None;
+    let mut next = 0usize;
+    let mut hook = |live: &Machine| {
+        let fired = live.pm_write_ops();
+        let first = next;
+        while next < idxs.len() && sh.target(idxs[next]) <= fired {
+            note_fork(
+                spec,
+                sh.points[idxs[next]],
+                fired - sh.marks.armed_base,
+                0,
+                worker,
+            );
+            next += 1;
+        }
+        let fspec = |i: usize| spec.with_crash_after(sh.points[i]);
+        let c = live.crash_copy(&mut copy);
+        let r = collect(
+            c,
+            &mut bench,
+            &fspec(idxs[first]),
+            RunOutcome::Crashed,
+            &sh.marks,
+        );
+        // Drop the copy's pages now: while it shares them, the live
+        // machine's next write to each would copy it first.
+        c.hw_mut().image.reset();
+        for &i in &idxs[first + 1..next] {
+            let mut ri = r.clone();
+            ri.spec = fspec(i);
+            done.push((i, ri, 0));
+        }
+        done.push((idxs[first], r, 0));
+        idxs.get(next).map(|&i| sh.target(i))
+    };
+    if let Some(&i) = idxs.first() {
+        m.arm_crash_after_additional(sh.target(i) - m.pm_write_ops());
     }
-    for (k, &i) in idxs.iter().enumerate() {
-        let n = sh.points[i];
-        let armed_abs = sh.marks.armed_base + n;
-        // Fork from *before* the crashing write: the latest state
-        // strictly below the armed count. (`n = 0` fires on the next
-        // write exactly like `n = 1` — the arming check is `>=`.)
-        let limit = sh.marks.armed_base + n.max(1);
-        let snap_writes;
-        if sh.cfg.refine {
-            let b = sh.boundaries[sh.boundaries.partition_point(|&w| w < limit) - 1];
-            if m.pm_write_ops() < b || cur.is_none() {
-                if m.pm_write_ops() < b {
-                    // Advance unarmed to the target boundary. Replay of a
-                    // restored prefix is deterministic, so the write
-                    // count lands on `b` exactly (it is a realized
-                    // boundary of this very prefix).
-                    let mut steps = shared_steps(bench, spec, &state);
-                    m.begin_schedule();
-                    while m.pm_write_ops() < b {
-                        let Some(t) = m.next_runnable() else { break };
-                        let out = m.step_thread(t, &mut steps[t]);
-                        debug_assert_ne!(out, StepOutcome::Crashed, "the advance runs unarmed");
-                    }
-                }
-                depth += 1;
-                metrics::counter("snapshot.tree.leaves").inc();
-                match &mut cur {
-                    Some((s, st)) => {
-                        *s = m.snapshot();
-                        st.clone_from(&state.borrow());
-                    }
-                    None => cur = Some((m.snapshot(), state.borrow().clone())),
-                }
-            }
-            snap_writes = m.pm_write_ops();
-        } else {
-            let si = sh.spine_writes.partition_point(|&w| w < limit) - 1;
-            let g = sh.spine[si].lock().unwrap();
-            m.restore(&g.0);
-            state.borrow_mut().clone_from(&g.1);
-            snap_writes = sh.spine_writes[si];
-        }
-        m.arm_crash_after_additional(armed_abs - m.pm_write_ops());
-        metrics::counter("snapshot.forks").add(1);
-        let mut steps = shared_steps(bench, spec, &state);
-        let outcome = m.run(&mut steps);
-        drop(steps);
-        let replayed = m.pm_write_ops() - snap_writes;
-        metrics::counter("snapshot.replayed_writes").add(replayed);
-        if events::enabled() {
-            events::Event::new("crash_fork")
-                .field_str("bench", spec.bench.label())
-                .field_str("scheme", &spec.scheme.to_string())
-                .field_u64("crash_after", n)
-                .field_u64("snap_writes", snap_writes - sh.marks.armed_base)
-                .field_u64("replayed", replayed)
-                .field_u64("tree_depth", if sh.cfg.refine { depth } else { 0 })
-                .field_u64("worker", worker)
-                .emit();
-        }
-        let fspec = spec.with_crash_after(n);
-        let r = collect(m, &mut bench, &fspec, outcome, &sh.marks);
-        done.push((i, r, replayed));
-        if sh.cfg.refine && k + 1 < idxs.len() {
-            // Rewind to the leaf for the next point's advance.
-            let (s, st) = cur.as_ref().expect("leaf exists after the first fork");
-            m.restore(s);
-            state.borrow_mut().clone_from(st);
-        }
+    let mut steps = shared_steps(sh.bench, spec, state);
+    m.begin_schedule();
+    while to_end || m.crash_armed().is_some() {
+        let Some(t) = m.next_runnable() else { break };
+        m.step_thread_with(t, &mut steps[t], &mut hook);
     }
     done
 }
 
-/// [`run_sweep`] with an explicit [`SweepConfig`]: the adaptive snapshot
-/// tree and the parallel fork engine.
-///
-/// The prefix simulates once (serially — it is one deterministic
-/// simulation), recording spine snapshots at the budget-compacted cadence
-/// plus every realized step-boundary write count. Forks then dispatch in
-/// ascending point order across `cfg.jobs` workers of
-/// [`asap_sim::pool::ordered`] (self-scheduled over contiguous chunks,
-/// each worker owning one scratch [`Machine`] — the first reuses the
-/// prefix machine; snapshots are `Send`, so restoring them in a worker is
-/// ordinary data movement), and results merge back in request order.
-/// Determinism argument: a fork's result depends only on the restored
-/// snapshot and the armed count, never on which worker ran it or when, so
-/// the merged output is bit-identical to the serial sweep at any
-/// `cfg.jobs` — and to the legacy one-run-per-point path.
-///
-/// # Panics
-///
-/// Panics if `spec.crash_after` is set (the sweep owns crash arming), or
-/// if a scheme invariant or crash-consistency check fails in any fork.
-pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) -> SweepResult {
+/// Runs the prefix unarmed on `m`, keeping spine snapshots of machine and
+/// driver state at step boundaries: the origin (which covers every point
+/// on its own), then one every `cfg.snap_every` persistent writes,
+/// thinned to `cfg.snap_budget`.
+fn run_spine(
+    m: &mut Machine,
+    state: &SharedStates,
+    bench: AnyBench,
+    spec: &WorkloadSpec,
+    cfg: &SweepConfig,
+) -> Vec<(u64, Mutex<SpineSnap>)> {
     use asap_sim::obs::metrics;
-    assert!(
-        spec.crash_after.is_none(),
-        "sweep specs must not pre-arm a crash (the points are the sweep's)"
-    );
-    let snap_every = cfg.snap_every.max(1);
-    let (mut m, mut bench, marks) = prepare(spec);
-    let state = thread_states(spec);
-    let mut steps = shared_steps(bench, spec, &state);
-
-    // Prefix: one uninterrupted run, snapshotting machine + driver state
-    // at step boundaries. The first snapshot (taken before any step, at
-    // the armed origin) covers every crash point on its own; later ones
-    // only shorten the replay distance.
-    let mut spine: Vec<(MachineSnapshot, Vec<ThreadState>)> =
-        vec![(m.snapshot(), state.borrow().clone())];
-    let mut boundaries: Vec<u64> = vec![m.pm_write_ops()];
-    let mut stride = snap_every;
+    let mut spine: Vec<SpineSnap> = vec![(m.snapshot(), state.borrow().clone())];
+    let mut stride = cfg.snap_every.max(1);
     let mut next_mark = m.pm_write_ops().saturating_add(stride);
+    let mut steps = shared_steps(bench, spec, state);
     m.begin_schedule();
     while let Some(t) = m.next_runnable() {
         let out = m.step_thread(t, &mut steps[t]);
         debug_assert_ne!(out, StepOutcome::Crashed, "the prefix runs unarmed");
         let w = m.pm_write_ops();
-        if boundaries.last() != Some(&w) {
-            boundaries.push(w);
-        }
         if w >= next_mark {
             spine.push((m.snapshot(), state.borrow().clone()));
             if cfg.snap_budget > 0 && spine.len() > cfg.snap_budget {
@@ -714,68 +711,129 @@ pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) ->
             next_mark = w.saturating_add(stride);
         }
     }
-    drop(steps);
-    let prefix_writes = m.pm_write_ops() - marks.armed_base;
     for (snap, _) in &spine {
         metrics::counter("snapshot.bytes").add(snap.approx_image_bytes());
     }
     metrics::gauge("snapshot.spine.len").set_max(spine.len() as u64);
-    let mut baseline = collect(&mut m, &mut bench, spec, RunOutcome::Completed, &marks);
+    spine
+        .into_iter()
+        .map(|s| (s.0.pm_write_ops(), Mutex::new(s)))
+        .collect()
+}
 
-    // Fork dispatch. Ascending point order keeps each chunk on one
-    // stretch of the prefix; the pool self-schedules chunks so stragglers
-    // rebalance.
+/// [`run_sweep`] with an explicit [`SweepConfig`]: the one-pass walk and
+/// the parallel fork engine.
+///
+/// With `cfg.walk` at one job, the prefix pass is the walk: the machine
+/// runs the workload once, and each point crashes a cache-less copy of it
+/// at that point's write ([`Machine::crash_copy`]) — no snapshot,
+/// restore or replay. Otherwise the prefix runs once recording spine
+/// snapshots, and the points, in ascending order, split into contiguous
+/// chunks over `cfg.jobs` workers of [`asap_sim::pool::ordered`], each
+/// owning one scratch [`Machine`] (the first reuses the prefix machine).
+/// A walked chunk restores one spine snapshot and walks; a flat chunk
+/// restores and replays per point. Results merge back in request order.
+///
+/// Determinism argument: a fork's result depends only on the machine
+/// state at its crashing write, which the same [`Machine::step_thread`]
+/// loop reaches whether the machine started at setup, at a snapshot, or
+/// on any worker. So the merged output is bit-identical at any
+/// configuration — and to the legacy one-run-per-point path.
+///
+/// # Panics
+///
+/// Panics if `spec.crash_after` is set (the sweep owns crash arming), or
+/// if a scheme invariant or crash-consistency check fails in any fork.
+pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) -> SweepResult {
+    assert!(
+        spec.crash_after.is_none(),
+        "sweep specs must not pre-arm a crash (the points are the sweep's)"
+    );
+    let (mut m, mut bench, marks) = prepare(spec);
+    let state = thread_states(spec);
     let mut order: Vec<usize> = (0..points.len()).collect();
     order.sort_by_key(|&i| (points[i], i));
     let jobs = cfg.jobs.max(1).min(points.len().max(1));
-    let chunk_count = if jobs == 1 {
-        1
-    } else {
-        (jobs * 4).min(points.len())
-    };
-    let chunks: Vec<std::ops::Range<usize>> = (0..chunk_count)
-        .map(|c| (c * points.len() / chunk_count)..((c + 1) * points.len() / chunk_count))
-        .collect();
-    let spine_writes: Vec<u64> = spine.iter().map(|(s, _)| s.pm_write_ops()).collect();
-    let spine: Vec<Mutex<(MachineSnapshot, Vec<ThreadState>)>> =
-        spine.into_iter().map(Mutex::new).collect();
-    let shared = SweepShared {
+    let mut sh = SweepShared {
         spec,
         marks,
-        cfg: *cfg,
         points,
-        order: &order,
-        boundaries: &boundaries,
-        spine: &spine,
-        spine_writes: &spine_writes,
+        spine: Vec::new(),
         bench,
     };
-    // Worker 0 forks on the prefix machine; the others build their scratch
-    // machine on first use, on their own thread.
-    let mut workers: Vec<(u64, Option<Machine>)> = (0..jobs as u64).map(|w| (w, None)).collect();
-    workers[0].1 = Some(m);
-    let chunk_results = asap_sim::pool::ordered(workers, chunks.len(), |(w, wm), c| {
-        let wm = wm.get_or_insert_with(|| machine_for(spec));
-        sweep_chunk(&shared, chunks[c].clone(), wm, *w)
-    });
 
-    // Merge in request order: output is a pure function of the per-point
-    // results, never of which worker ran them. A fork that panicked
-    // re-raises here, once every chunk has come back.
-    let mut slots: Vec<Option<(RunResult, u64)>> = points.iter().map(|_| None).collect();
-    for chunk in chunk_results {
-        let chunk = chunk.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        for (i, r, replayed) in chunk {
-            slots[i] = Some((r, replayed));
+    let (mut baseline, done, prefix_writes) = if cfg.walk && jobs == 1 {
+        let done = walk(&sh, &order, &mut m, &state, true, 0);
+        let prefix_writes = m.pm_write_ops() - marks.armed_base;
+        let baseline = collect(&mut m, &mut bench, spec, RunOutcome::Completed, &marks);
+        (baseline, done, prefix_writes)
+    } else {
+        sh.spine = run_spine(&mut m, &state, bench, spec, cfg);
+        let prefix_writes = m.pm_write_ops() - marks.armed_base;
+        let baseline = collect(&mut m, &mut bench, spec, RunOutcome::Completed, &marks);
+        // A walk only reaches points inside the prefix; the rest are
+        // filled from the baseline below.
+        if cfg.walk {
+            order.retain(|&i| sh.target(i) <= marks.armed_base + prefix_writes);
         }
+        let chunk_count = if jobs == 1 {
+            order.len().min(1)
+        } else {
+            (jobs * 4).min(order.len())
+        };
+        let chunks: Vec<&[usize]> = (0..chunk_count)
+            .map(|c| &order[c * order.len() / chunk_count..(c + 1) * order.len() / chunk_count])
+            .collect();
+        // Worker 0 forks on the prefix machine; the others build their
+        // scratch machine on first use, on their own thread.
+        let mut workers: Vec<(u64, Option<Machine>)> =
+            (0..jobs as u64).map(|w| (w, None)).collect();
+        workers[0].1 = Some(m);
+        let chunk_results = asap_sim::pool::ordered(workers, chunks.len(), |(w, wm), c| {
+            let wm = wm.get_or_insert_with(|| machine_for(spec));
+            let idxs = chunks[c];
+            if cfg.walk {
+                let state: SharedStates = Rc::new(RefCell::new(Vec::new()));
+                sh.restore_spine(idxs[0], wm, &state);
+                walk(&sh, idxs, wm, &state, false, *w)
+            } else {
+                flat_forks(&sh, idxs, wm, *w)
+            }
+        });
+        // Merge: output is a pure function of the per-point results,
+        // never of which worker ran them. A fork that panicked re-raises
+        // here, once every chunk has come back.
+        let mut done = Vec::with_capacity(points.len());
+        for chunk in chunk_results {
+            done.extend(chunk.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        (baseline, done, prefix_writes)
+    };
+
+    let mut slots: Vec<Option<(RunResult, u64)>> = points.iter().map(|_| None).collect();
+    for (i, r, replayed) in done {
+        slots[i] = Some((r, replayed));
     }
+    // A point beyond the prefix's last write never fires: its fork is the
+    // completed run under its own spec, cloned before the baseline gets
+    // its crash-point summaries.
     let mut forks = Vec::with_capacity(points.len());
     let mut replayed_writes = 0u64;
     for (i, slot) in slots.into_iter().enumerate() {
-        let (r, replayed) = slot.expect("every point produces a fork");
+        let (r, replayed) = slot.unwrap_or_else(|| {
+            note_fork(spec, points[i], prefix_writes, 0, 0);
+            let mut r = baseline.clone();
+            r.spec = spec.with_crash_after(points[i]);
+            (r, 0)
+        });
         replayed_writes += replayed;
-        baseline.crash_points.push(CrashPointOutcome {
-            crash_after: points[i],
+        forks.push(r);
+    }
+    baseline.crash_points = points
+        .iter()
+        .zip(&forks)
+        .map(|(&n, r)| CrashPointOutcome {
+            crash_after: n,
             crashed: r.outcome == RunOutcome::Crashed,
             uncommitted: r
                 .recovery
@@ -784,9 +842,8 @@ pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) ->
             replayed: r.recovery.as_ref().map_or(0, |x| x.replayed.len() as u64),
             restored_lines: r.recovery.as_ref().map_or(0, |x| x.restored_lines),
             tx: r.tx,
-        });
-        forks.push(r);
-    }
+        })
+        .collect();
     SweepResult {
         baseline,
         forks,
@@ -872,14 +929,19 @@ pub fn enumerate_crash_points(spec: &WorkloadSpec, budget: usize) -> CrashPlan {
 /// legitimately contributes nothing here. The counters are plain `Cell`
 /// reads flushed once per run, so the simulated hot path pays nothing
 /// atomic.
+///
+/// Flushing *takes* the counters (reads and zeroes them), and copies of
+/// a machine start theirs at zero, so every lookup and copy-on-write
+/// fault is counted once: a sweep's forks add their own work, never the
+/// prefix's again.
 fn flush_host_metrics(m: &Machine) {
     use asap_sim::obs::metrics;
-    let img = m.hw().image.access_stats();
+    let img = m.hw().image.take_access_stats();
     metrics::counter("pmem.image.lookups").add(img.lookups);
     metrics::counter("pmem.image.last_page_hits").add(img.last_page_hits);
     metrics::counter("pmem.image.index_probes").add(img.index_probes);
     metrics::counter("pmem.image.cow_copies").add(img.cow_copies);
-    metrics::counter("sim.calendar.full_scans").add(m.hw().mem.calendar_full_scans());
+    metrics::counter("sim.calendar.full_scans").add(m.hw().mem.take_calendar_full_scans());
     metrics::gauge("mem.fwd_slab.hwm").set_max(m.hw().mem.fwd_slab_hwm());
     // Telemetry sampler health: whether long runs are still sampling at
     // useful resolution. The period doubles on every decimation, so a
@@ -1067,7 +1129,7 @@ mod tests {
                     points[i]
                 );
             }
-            if cfg.refine {
+            if cfg.walk {
                 assert!(
                     sw.replayed_writes < flat.replayed_writes,
                     "tree replays less: {} vs flat {} under {cfg:?}",
@@ -1100,6 +1162,23 @@ mod tests {
         // sweep over them behaves like any other sweep.
         let sw = run_sweep_with(&spec, &s.points, &SweepConfig::tree(8));
         assert!(sw.baseline.crash_points.iter().all(|p| p.crashed));
+    }
+
+    #[test]
+    fn flushing_takes_the_host_counters() {
+        let spec = small(BenchId::Hm, SchemeKind::Asap);
+        let (mut m, bench, _) = prepare(&spec);
+        let state = thread_states(&spec);
+        let mut steps = shared_steps(bench, &spec, &state);
+        assert_eq!(m.run(&mut steps), RunOutcome::Completed);
+        assert!(m.hw().image.access_stats().lookups > 0);
+        flush_host_metrics(&m);
+        // The first flush took every counter, so a second adds nothing.
+        assert_eq!(
+            m.hw().image.access_stats(),
+            asap_pmem::ImageStats::default()
+        );
+        assert_eq!(m.hw().mem.calendar_full_scans(), 0);
     }
 
     #[test]

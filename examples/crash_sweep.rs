@@ -4,13 +4,15 @@
 //! ([`asap_workloads::enumerate_crash_points`]): a recording pilot notes
 //! every WPQ-acceptance / persist / commit / region-end boundary, and the
 //! sweep crash-straddles up to `ASAP_CRASH_SWEEP` of them (default 32).
-//! The sweep itself runs the snapshot-tree engine — budgeted spine plus
-//! per-fork refinement leaves, forks dispatched across `ASAP_SWEEP_JOBS`
-//! workers — and is checked two ways:
+//! The sweep itself is the walk: one pass over the prefix that, at each
+//! point's write, crashes, recovers and verifies a cache-less copy of the
+//! live machine (with `ASAP_SWEEP_JOBS` > 1, each chunk of points restores
+//! one spine snapshot and walks from there). It is checked two ways:
 //!
 //! - against a serial flat-cadence sweep of the same points
-//!   (bit-identical forks, and ≥5x fewer replayed writes at 32+ points,
-//!   via the `snapshot.replayed_writes` metric);
+//!   (bit-identical forks; the walk replays exactly 0 writes, via the
+//!   `snapshot.replayed_writes` metric, while the flat cadence replays
+//!   each fork's tail);
 //! - at ≤64 points, additionally against the legacy
 //!   one-full-run-per-point path (bit-identical, and ≥5x faster at 32+
 //!   points; both passes run with the result cache off, so the ratio
@@ -62,7 +64,7 @@ fn main() {
     let t0 = Instant::now();
     let sweep = run_crash_sweep_with(&spec, points, snap_every, &RunCacheConfig::off());
     let sweep_elapsed = t0.elapsed();
-    let tree_replayed = metrics::counter_value("snapshot.replayed_writes") - replayed0;
+    let walk_replayed = metrics::counter_value("snapshot.replayed_writes") - replayed0;
 
     println!(
         "crash-point sweep: {} x {} ({} lifecycle points of {} candidates, \
@@ -99,8 +101,8 @@ fn main() {
         );
     }
 
-    // Flat-cadence reference: same points, serial, no tree. The forks
-    // must match bit-for-bit, and the tree must replay ≥5x fewer writes
+    // Flat-cadence reference: same points, serial, no walk. The forks
+    // must match bit-for-bit, and the walk must replay no write at all
     // (the `snapshot.replayed_writes` metric both sweeps feed).
     let flat0 = metrics::counter_value("snapshot.replayed_writes");
     let flat = run_sweep_with(&spec, points, &SweepConfig::flat(snap_every));
@@ -108,21 +110,18 @@ fn main() {
     for (f, t) in flat.forks.iter().zip(&sweep.forks) {
         assert!(
             results_identical(t, f),
-            "tree fork at {} diverged from the flat-cadence layout",
+            "walked fork at {} diverged from the flat-cadence layout",
             f.spec.crash_after.unwrap_or(0)
         );
     }
     println!(
-        "replayed writes: tree {} vs flat cadence {}",
-        tree_replayed, flat_replayed
+        "replayed writes: walk {} vs flat cadence {}",
+        walk_replayed, flat_replayed
     );
-    if points.len() >= 32 {
-        assert!(
-            tree_replayed * 5 <= flat_replayed,
-            "the snapshot tree must replay at least 5x fewer writes than \
-             the flat cadence (tree {tree_replayed} vs flat {flat_replayed})"
-        );
-    }
+    assert_eq!(
+        walk_replayed, 0,
+        "the walk crashes copies of the live machine and replays nothing"
+    );
 
     if points.len() <= 64 {
         // Small sweeps afford the legacy cross-check: one full

@@ -229,8 +229,8 @@ fn crash_sweeps_are_identical_to_legacy_crash_cells() {
 /// produces the legacy reference (`ASAP_JOBS`) — and every combination
 /// must still be bit-identical to the serial flat sweep and to the legacy
 /// one-run-per-point path.
-/// Tree refinement (the fourth axis) rides along: tree-restored forks
-/// must match flat-cadence forks under every dispatch mode.
+/// The walk (the fourth axis) rides along: walked forks must match
+/// flat-cadence forks under every dispatch mode.
 #[test]
 fn parallel_tree_sweeps_match_serial_flat_and_legacy() {
     use asap_workloads::{run_sweep_with, SweepConfig};
@@ -257,7 +257,7 @@ fn parallel_tree_sweeps_match_serial_flat_and_legacy() {
             }
             assert_eq!(sw.baseline.crash_points, flat.baseline.crash_points);
             assert_eq!(sw.prefix_writes, flat.prefix_writes);
-            if cfg.refine {
+            if cfg.walk {
                 assert!(
                     sw.replayed_writes <= flat.replayed_writes,
                     "tree replay must not exceed flat ({cfg:?})"

@@ -6,8 +6,9 @@
 //!
 //! - a parallel sweep (`jobs` ∈ {2, 4}, the `ASAP_SWEEP_JOBS` axis) is
 //!   identical to the serial sweep of the same configuration;
-//! - tree-restored forks (budgeted spine + refinement leaves) are
-//!   identical to flat-cadence forks.
+//! - walked forks (cache-less crash copies of the live machine, with a
+//!   budgeted spine for parallel chunks) are identical to flat-cadence
+//!   forks.
 //!
 //! "Identical" is [`results_identical`]: every scalar, float bit
 //! patterns, the full stats registry, and all exported artifacts.
@@ -64,10 +65,10 @@ proptest! {
         points in proptest::collection::vec(0u64..90, 1..8),
         jobs in prop_oneof![Just(2usize), Just(4usize)],
         snap_every in 1u64..24,
-        refine in proptest::bool::weighted(0.5),
+        walk in proptest::bool::weighted(0.5),
     ) {
         let mut serial = SweepConfig::flat(snap_every);
-        serial.refine = refine;
+        serial.walk = walk;
         let parallel = serial.with_jobs(jobs);
         assert_sweeps_identical(&points, &serial, &parallel)?;
     }
