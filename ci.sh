@@ -23,10 +23,10 @@ cargo bench -p asap-bench --bench micro --no-run
 
 echo "==> run-cache smoke (disk tier: second pass all hits, stdout identical)"
 RC_DIR=$(mktemp -d)
-ASAP_BENCHES=HM ASAP_OPS=10 ASAP_JOBS=1 ASAP_WALLCLOCK= \
+ASAP_BENCHES=HM ASAP_OPS=10 ASAP_JOBS=1 \
   ASAP_RUNCACHE=disk ASAP_RUNCACHE_DIR="$RC_DIR" \
   cargo bench -p asap-bench --bench fig7_speedup >target/runcache_pass1.out 2>/dev/null
-ASAP_BENCHES=HM ASAP_OPS=10 ASAP_JOBS=1 ASAP_WALLCLOCK= \
+ASAP_BENCHES=HM ASAP_OPS=10 ASAP_JOBS=1 \
   ASAP_RUNCACHE=disk ASAP_RUNCACHE_DIR="$RC_DIR" \
   cargo bench -p asap-bench --bench fig7_speedup >target/runcache_pass2.out 2>target/runcache_pass2.err
 cmp target/runcache_pass1.out target/runcache_pass2.out \
@@ -37,55 +37,42 @@ grep -q ", 0 misses" target/runcache_pass2.err \
 rm -rf "$RC_DIR"
 echo "    cached rerun byte-identical, all cells hit"
 
-echo "==> observability smoke (NDJSON stream valid, stdout untouched)"
-EV_FILE=$(mktemp -u)
-ASAP_BENCHES=HM ASAP_OPS=10 ASAP_JOBS=1 ASAP_WALLCLOCK= \
-  ASAP_EVENTS="$EV_FILE" ASAP_PROGRESS=off \
-  cargo bench -p asap-bench --bench fig7_speedup >target/obs_on.out 2>/dev/null
-cargo run --release -q --example events_check -- "$EV_FILE" \
-  || { echo "OBS FAILURE: event stream invalid" >&2; exit 1; }
-cmp target/obs_on.out target/runcache_pass1.out \
-  || { echo "OBS FAILURE: stdout changed with ASAP_EVENTS on (jobs=1)" >&2; exit 1; }
-rm -f "$EV_FILE"
-ASAP_BENCHES=HM ASAP_OPS=10 ASAP_JOBS=4 ASAP_WALLCLOCK= \
-  ASAP_EVENTS="$EV_FILE" ASAP_PROGRESS=1 \
-  cargo bench -p asap-bench --bench fig7_speedup >target/obs_on_j4.out 2>/dev/null
-cmp target/obs_on_j4.out target/runcache_pass1.out \
-  || { echo "OBS FAILURE: stdout changed with ASAP_EVENTS and ASAP_PROGRESS on (jobs=4)" >&2; exit 1; }
-rm -f "$EV_FILE"
-echo "    event stream parseable and balanced; bench stdout byte-identical"
+echo "==> progress smoke (ASAP_PROGRESS on at jobs=4, stdout untouched)"
+ASAP_BENCHES=HM ASAP_OPS=10 ASAP_JOBS=4 ASAP_PROGRESS=1 \
+  cargo bench -p asap-bench --bench fig7_speedup >target/progress_j4.out 2>/dev/null
+cmp target/progress_j4.out target/runcache_pass1.out \
+  || { echo "PROGRESS FAILURE: stdout changed with ASAP_PROGRESS on (jobs=4)" >&2; exit 1; }
+echo "    bench stdout byte-identical"
 
 echo "==> figure goldens (all eight figure benches at ASAP_OPS=10 vs tests/golden/)"
 # Any difference means a simulated bit moved. Regenerating a golden means
 # copying this stage's output over it in a reviewed commit.
 for fig in fig1_sw_overhead fig7_speedup fig8_region_cycles fig9_traffic \
            fig10_pm_latency sec74_lhwpq ablation_dpo_distance ablation_thread_scaling; do
-  ASAP_OPS=10 ASAP_RUNCACHE=off ASAP_WALLCLOCK= ASAP_TELEMETRY_OUT= \
+  ASAP_OPS=10 ASAP_RUNCACHE=off ASAP_TELEMETRY_OUT= \
     cargo bench -q -p asap-bench --bench "$fig" >"target/golden_$fig.out"
   cmp "target/golden_$fig.out" "tests/golden/$fig.txt" \
     || { echo "GOLDEN FAILURE: $fig stdout differs from tests/golden/$fig.txt" >&2; exit 1; }
 done
 echo "    all eight figure benches byte-identical to their goldens"
 # Telemetry observes the simulated machine without changing it: fig7 with
-# the sampler on prints the same bytes, and the export lands even with
-# the wall-clock record off.
+# the sampler on prints the same bytes, and the export lands.
 # (Absolute path: cargo runs bench binaries from the package directory.)
 TEL_DIR="$PWD/target/ci_telemetry"
 rm -rf "$TEL_DIR"
-ASAP_OPS=10 ASAP_RUNCACHE=off ASAP_WALLCLOCK= ASAP_TELEMETRY=1 ASAP_TELEMETRY_OUT="$TEL_DIR" \
+ASAP_OPS=10 ASAP_RUNCACHE=off ASAP_TELEMETRY=1 ASAP_TELEMETRY_OUT="$TEL_DIR" \
   cargo bench -q -p asap-bench --bench fig7_speedup >target/golden_fig7_telemetry.out
 cmp target/golden_fig7_telemetry.out tests/golden/fig7_speedup.txt \
   || { echo "GOLDEN FAILURE: fig7 stdout differs with ASAP_TELEMETRY=1" >&2; exit 1; }
 test -s "$TEL_DIR/fig7_speedup.json" \
-  || { echo "TELEMETRY FAILURE: fig7 export missing with ASAP_WALLCLOCK=" >&2; exit 1; }
+  || { echo "TELEMETRY FAILURE: fig7 export missing from $TEL_DIR" >&2; exit 1; }
 echo "    fig7 with telemetry on byte-identical; export written"
 
 echo "==> crash-point sweep smoke (walked forks vs legacy re-runs, 32 points)"
 # The example asserts every fork byte-identical to a full crash_after
 # re-run, every recovery verified, and (at >= 32 points) the sweep at
-# least 5x faster than the legacy path. ASAP_WALLCLOCK= keeps CI from
-# appending host-dependent records to BENCH_WALLCLOCK.json.
-ASAP_OPS=100 ASAP_THREADS=2 ASAP_CRASH_SWEEP=32 ASAP_WALLCLOCK= \
+# least 5x faster than the legacy path.
+ASAP_OPS=100 ASAP_THREADS=2 ASAP_CRASH_SWEEP=32 \
   cargo run --release -q --example crash_sweep >target/crash_sweep.out 2>target/crash_sweep.err
 grep -q "all 32 forks identical to legacy re-runs" target/crash_sweep.out \
   || { echo "SWEEP FAILURE: fork equivalence line missing" >&2; \
@@ -100,9 +87,9 @@ echo "==> parallel sweep smoke (1000 lifecycle points, ASAP_SWEEP_JOBS=2 vs seri
 # (warn-only on 1-CPU hosts, where there is nothing to win). The floor
 # catches a pool that runs serially; on a 2-CPU host back-to-back pairs
 # read anywhere from ~1.5x to ~2.2x, so a 2x floor failed on noise.
-ASAP_OPS=200 ASAP_THREADS=2 ASAP_CRASH_SWEEP=1000 ASAP_WALLCLOCK= ASAP_RUNCACHE=off \
+ASAP_OPS=200 ASAP_THREADS=2 ASAP_CRASH_SWEEP=1000 ASAP_RUNCACHE=off \
   cargo run --release -q --example crash_sweep >target/sweep_serial.out 2>target/sweep_serial.err
-ASAP_OPS=200 ASAP_THREADS=2 ASAP_CRASH_SWEEP=1000 ASAP_WALLCLOCK= ASAP_RUNCACHE=off \
+ASAP_OPS=200 ASAP_THREADS=2 ASAP_CRASH_SWEEP=1000 ASAP_RUNCACHE=off \
   ASAP_SWEEP_JOBS=2 \
   cargo run --release -q --example crash_sweep >target/sweep_par.out 2>target/sweep_par.err
 cmp target/sweep_serial.out target/sweep_par.out \

@@ -5,7 +5,7 @@
 //! the distance and reports PM write traffic and throughput so the choice
 //! can be checked in this model.
 
-use asap_bench::{benches, emit_wallclock, fig_spec, geomean, header, row, run_grid};
+use asap_bench::{benches, export_telemetry, fig_spec, geomean, header, row, run_grid};
 use asap_core::scheme::SchemeKind;
 use asap_workloads::{BenchId, WorkloadSpec};
 
@@ -18,7 +18,6 @@ fn spec(bench: BenchId, distance: u32) -> WorkloadSpec {
 }
 
 fn main() {
-    let t0 = std::time::Instant::now();
     println!("\n=== Ablation: DPO coalescing distance (traffic normalized to distance 4) ===");
     header("bench", &["d=1", "d=2", "d=4", "d=8", "d=16"]);
     // Cell layout per bench: one run per distance; the d=4 run is the
@@ -52,5 +51,5 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("(expected: traffic falls up to d≈4, little benefit beyond — §4.6.2)");
-    emit_wallclock("ablation_dpo_distance", t0.elapsed(), &[&results]);
+    export_telemetry("ablation_dpo_distance", &[&results]);
 }

@@ -8,7 +8,7 @@
 //! ASAP) — so ASAP's advantage should *grow* with thread count on a
 //! lock-contended benchmark. Q uses a single global lock.
 
-use asap_bench::{emit_wallclock, geomean, header, ops, row, run_grid};
+use asap_bench::{export_telemetry, geomean, header, ops, row, run_grid};
 use asap_core::scheme::SchemeKind;
 use asap_sim::SystemConfig;
 use asap_workloads::{BenchId, WorkloadSpec};
@@ -22,7 +22,6 @@ const SCHEMES: [(&str, SchemeKind); 4] = [
 ];
 
 fn main() {
-    let t0 = std::time::Instant::now();
     println!(
         "\n=== Ablation: throughput vs threads on Q (global lock), normalized to 1-thread SW ==="
     );
@@ -108,9 +107,5 @@ fn main() {
             .collect();
         row(name, &vals);
     }
-    emit_wallclock(
-        "ablation_thread_scaling",
-        t0.elapsed(),
-        &[&results, &wide_results],
-    );
+    export_telemetry("ablation_thread_scaling", &[&results, &wide_results]);
 }

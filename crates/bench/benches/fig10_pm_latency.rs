@@ -5,7 +5,7 @@
 //! synchronous persists extend the critical path), HWRedo is less
 //! sensitive (async DPOs), and ASAP tracks NP across the sweep.
 
-use asap_bench::{benches, emit_wallclock, fig_spec, geomean, header, row, run_grid};
+use asap_bench::{benches, export_telemetry, fig_spec, geomean, header, row, run_grid};
 use asap_core::scheme::SchemeKind;
 use asap_workloads::{BenchId, WorkloadSpec};
 
@@ -25,7 +25,6 @@ const SCHEMES: [(&str, SchemeKind); 3] = [
 ];
 
 fn main() {
-    let t0 = std::time::Instant::now();
     println!("\n=== Figure 10: throughput vs PM latency, normalized to NP at each point ===");
     header("bench", &["mult", "NP", "ASAP", "HWUndo", "HWRedo"]);
     // Cell layout per (bench, mult): NP baseline, then the three schemes.
@@ -64,5 +63,5 @@ fn main() {
         row(name, &cells);
     }
     println!("(paper: ASAP stays near NP at 16x; HWUndo degrades the most)");
-    emit_wallclock("fig10_pm_latency", t0.elapsed(), &[&results]);
+    export_telemetry("fig10_pm_latency", &[&results]);
 }

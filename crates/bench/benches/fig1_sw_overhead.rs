@@ -5,7 +5,7 @@
 //! persistence (NP). The paper measures 0.58× and 0.31× geomean on real
 //! hardware; the simulator reproduces the ordering and rough magnitudes.
 
-use asap_bench::{benches, emit_wallclock, fig_spec, geomean, header, row, run_grid};
+use asap_bench::{benches, export_telemetry, fig_spec, geomean, header, row, run_grid};
 use asap_core::scheme::SchemeKind;
 use asap_workloads::BenchId;
 
@@ -16,7 +16,6 @@ const SCHEMES: [SchemeKind; 3] = [
 ];
 
 fn main() {
-    let t0 = std::time::Instant::now();
     println!("\n=== Figure 1: software persist-operation overhead (normalized throughput) ===");
     header("bench", &["NP", "DPO Only", "LPO & DPO"]);
     let the_benches = benches(&BenchId::fig1());
@@ -51,5 +50,5 @@ fn main() {
         ],
     );
     println!("(paper: DPO Only 0.58, LPO & DPO 0.31)");
-    emit_wallclock("fig1_sw_overhead", t0.elapsed(), &[&results]);
+    export_telemetry("fig1_sw_overhead", &[&results]);
 }

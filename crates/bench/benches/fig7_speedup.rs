@@ -4,7 +4,7 @@
 //! SW / HWRedo / HWUndo / ASAP / NP. The paper's geomeans: HWRedo 1.49×,
 //! HWUndo 1.60×, ASAP 2.25×, NP ≈ 1.04× ASAP.
 
-use asap_bench::{benches, emit_wallclock, fig_spec, geomean, header, row, run_grid};
+use asap_bench::{benches, export_telemetry, fig_spec, geomean, header, row, run_grid};
 use asap_core::scheme::SchemeKind;
 use asap_workloads::BenchId;
 
@@ -19,7 +19,6 @@ const SCHEMES: [SchemeKind; 5] = [
 const SIZES: [u64; 2] = [64, 2048];
 
 fn main() {
-    let t0 = std::time::Instant::now();
     println!("\n=== Figure 7: speedup over SW (higher is better) ===");
     header("bench", &["size", "SW", "HWRedo", "HWUndo", "ASAP", "NP"]);
     // One grid cell per (bench, size, scheme); the SW run appears exactly
@@ -54,5 +53,5 @@ fn main() {
         .collect();
     row("GeoMean", &cells);
     println!("(paper geomeans: SW 1.00, HWRedo 1.49, HWUndo 1.60, ASAP 2.25, NP 2.35)");
-    emit_wallclock("fig7_speedup", t0.elapsed(), &[&results]);
+    export_telemetry("fig7_speedup", &[&results]);
 }

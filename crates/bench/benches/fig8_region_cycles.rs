@@ -5,7 +5,7 @@
 //! ASAP proceeds past `asap_end` immediately. The paper reports HWRedo
 //! 1.69×, HWUndo 1.61× and ASAP only 1.08× of NP.
 
-use asap_bench::{benches, emit_wallclock, fig_spec, geomean, header, row, run_grid};
+use asap_bench::{benches, export_telemetry, fig_spec, geomean, header, row, run_grid};
 use asap_core::scheme::SchemeKind;
 use asap_workloads::BenchId;
 
@@ -19,7 +19,6 @@ const SCHEMES: [SchemeKind; 4] = [
 const SIZES: [u64; 2] = [64, 2048];
 
 fn main() {
-    let t0 = std::time::Instant::now();
     println!("\n=== Figure 8: cycles per atomic region normalized to NP (lower is better) ===");
     header("bench", &["size", "SW", "HWRedo", "HWUndo", "ASAP", "NP"]);
     // Cell layout: NP baseline first, then the four schemes.
@@ -55,5 +54,5 @@ fn main() {
         .collect();
     row("GeoMean", &cells);
     println!("(paper geomeans: HWRedo 1.69, HWUndo 1.61, ASAP 1.08 of NP)");
-    emit_wallclock("fig8_region_cycles", t0.elapsed(), &[&results]);
+    export_telemetry("fig8_region_cycles", &[&results]);
 }

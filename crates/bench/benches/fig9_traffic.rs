@@ -9,12 +9,11 @@
 //! ~31%; ASAP generates 0.62× / 0.52× / 0.39× the traffic of HWRedo /
 //! HWUndo / SW.
 
-use asap_bench::{benches, emit_wallclock, fig_spec, geomean, header, row, run_grid};
+use asap_bench::{benches, export_telemetry, fig_spec, geomean, header, row, run_grid};
 use asap_core::scheme::{AsapOpts, SchemeKind};
 use asap_workloads::BenchId;
 
 fn main() {
-    let t0 = std::time::Instant::now();
     let variants = [
         ("No-Opt", SchemeKind::AsapWith(AsapOpts::none())),
         ("+C", SchemeKind::AsapWith(AsapOpts::coalescing_only())),
@@ -111,5 +110,5 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("(paper: ASAP traffic is 0.39x SW, 0.52x HWUndo, 0.62x HWRedo — i.e. SW 2.56, HWUndo 1.92, HWRedo 1.61 normalized to ASAP)");
-    emit_wallclock("fig9_traffic", t0.elapsed(), &[&results]);
+    export_telemetry("fig9_traffic", &[&results]);
 }

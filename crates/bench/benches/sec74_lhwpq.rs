@@ -5,7 +5,7 @@
 //! baselines using 128 entries. A full LH-WPQ stalls a region's first LPO
 //! until some region commits and releases its slot.
 
-use asap_bench::{benches, emit_wallclock, fig_spec, geomean, header, row, run_grid};
+use asap_bench::{benches, export_telemetry, fig_spec, geomean, header, row, run_grid};
 use asap_core::scheme::SchemeKind;
 use asap_workloads::{BenchId, WorkloadSpec};
 
@@ -20,7 +20,6 @@ fn asap_with_wpq(bench: BenchId, entries: u32) -> WorkloadSpec {
 }
 
 fn main() {
-    let t0 = std::time::Instant::now();
     println!("\n=== Section 7.4: LH-WPQ size sensitivity (normalized to ASAP-128, 16 threads) ===");
     header(
         "bench",
@@ -60,5 +59,5 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("(paper: a 16-entry LH-WPQ runs at 0.78x yet still beats HWUndo/HWRedo)");
-    emit_wallclock("sec74_lhwpq", t0.elapsed(), &[&results]);
+    export_telemetry("sec74_lhwpq", &[&results]);
 }

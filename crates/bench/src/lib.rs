@@ -12,8 +12,6 @@
 //! - `ASAP_JOBS` — host worker threads running simulations in parallel
 //!   (default: available parallelism; `1` forces the serial path);
 //! - `ASAP_BENCHES` — comma-separated benchmark labels to restrict to;
-//! - `ASAP_WALLCLOCK` — path of the host wall-clock report
-//!   (default `BENCH_WALLCLOCK.json` in the repo root; empty disables);
 //! - `ASAP_TELEMETRY` — sample occupancy time series and the
 //!   region-lifecycle log in virtual time (see EXPERIMENTS.md
 //!   §Telemetry);
@@ -23,13 +21,13 @@
 //!   memoization (`off`/`mem`/`disk`, default `mem`; see [`runcache`]);
 //! - `ASAP_PROGRESS` — live status line on stderr (`1`/`on` enable);
 //! - `ASAP_CRASH_SWEEP` — crash-point count for the `crash_sweep`
-//!   example, which drives [`run_crash_sweep`] (shared-prefix
-//!   copy-on-write forks, bit-identical to legacy `crash_after` cells);
-//! - `ASAP_SWEEP_JOBS` — fork-dispatch worker threads for crash sweeps
-//!   (default 1; snapshots are `Send`, so forks run on a scoped pool and
-//!   merge back in point order — output is identical at any value);
-//! - `ASAP_EVENTS` — NDJSON run-event stream (`<path>` or `stderr`; see
-//!   [`asap_sim::obs::events`]).
+//!   example, which drives [`run_crash_sweep`] (one pass over the shared
+//!   prefix that crashes a copy of the live machine at each point,
+//!   bit-identical to legacy `crash_after` cells);
+//! - `ASAP_SWEEP_JOBS` — worker threads for crash sweeps (default 1; at
+//!   more than one, the points split into chunks that each restore a
+//!   spine snapshot and walk from it, merging back in point order —
+//!   output is identical at any value).
 //!
 //! Unrecognized `ASAP_`-prefixed variables draw a warning on stderr at
 //! grid startup (see [`asap_sim::warn_unknown_asap_env`]) — a typo'd
@@ -49,11 +47,10 @@ pub mod runcache;
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 use asap_core::machine::RunOutcome;
 use asap_core::scheme::SchemeKind;
-use asap_sim::obs::{self, events, metrics, phase};
+use asap_sim::obs::{self, metrics};
 use asap_sim::{Fingerprint, TelemetrySettings};
 use asap_workloads::{
     run, run_sweep_with, BenchId, CrashPointOutcome, RunResult, SweepConfig, SweepResult,
@@ -138,12 +135,7 @@ pub fn run_grid_jobs(specs: &[WorkloadSpec], jobs: usize) -> Vec<RunResult> {
 /// cells within one grid collapse to a single simulation too — and only
 /// the missing cells go to the worker pool; results come back in spec
 /// order regardless, so stdout is byte-identical whatever hits.
-///
-/// Observability (all off the figure's stdout): when `ASAP_EVENTS` is
-/// set, the grid emits `grid_start`, one `cell_start`/`cell_end` pair
-/// per cell (ordered by completion, keyed by fingerprint), and
-/// `grid_end` records; `ASAP_PROGRESS=1` draws a live status line on
-/// stderr; host time is attributed to the [`phase`] profiler either way.
+/// `ASAP_PROGRESS=1` draws a live status line on stderr.
 ///
 /// # Panics
 ///
@@ -157,47 +149,17 @@ pub fn run_grid_with(
     cache: &RunCacheConfig,
 ) -> Vec<RunResult> {
     asap_sim::warn_unknown_asap_env();
-    let events_on = events::enabled();
     let progress = Progress::from_env(specs.len());
-    let t0 = Instant::now();
-    if events_on {
-        events::Event::new("grid_start")
-            .field_str("schema", events::SCHEMA)
-            .field_u64("cells", specs.len() as u64)
-            .field_u64("jobs", jobs as u64)
-            .field_str("cache", if cache.enabled() { "on" } else { "off" })
-            .emit();
-    }
-    // Fingerprints key both memoization and the event stream; with
-    // neither consumer active, skip hashing entirely.
-    let fps: Option<Vec<Fingerprint>> = (cache.enabled() || events_on).then(|| {
-        let _t = phase::scope(phase::Phase::Fingerprint);
-        specs.iter().map(WorkloadSpec::fingerprint).collect()
-    });
     let results = if cache.enabled() {
-        grid_with_cache(
-            specs,
-            jobs,
-            cache,
-            fps.as_deref().expect("cache implies fps"),
-            &progress,
-        )
+        let fps: Vec<Fingerprint> = specs.iter().map(WorkloadSpec::fingerprint).collect();
+        grid_with_cache(specs, jobs, cache, &fps, &progress)
     } else {
-        run_cells(specs, jobs, fps.as_deref(), &progress)
+        run_cells(specs, jobs, &progress)
     };
     progress.finish();
-    if events_on {
-        let c = runcache::counters();
-        events::Event::new("grid_end")
-            .field_u64("cells", specs.len() as u64)
-            .field_u64("host_us", t0.elapsed().as_micros() as u64)
-            .field_u64("cache_hits", c.hits())
-            .field_u64("cache_misses", c.misses)
-            .emit();
-    }
     if cache.enabled() {
-        // Cumulative for the process (stderr, like the wall-clock note —
-        // the figure's stdout must not depend on cache state).
+        // Cumulative for the process (stderr: the figure's stdout must
+        // not depend on cache state).
         obs::note!("{}", runcache::summary_line(&runcache::counters()));
     }
     let failed: Vec<String> = (0..specs.len())
@@ -233,45 +195,28 @@ fn grid_with_cache(
     // pool) again.
     let mut first: HashMap<Fingerprint, usize> = HashMap::new();
     let mut to_run: Vec<usize> = Vec::new();
-    {
-        let _t = phase::scope(phase::Phase::CacheProbe);
-        for (i, fp) in fps.iter().enumerate() {
-            if first.contains_key(fp) {
-                continue;
+    for (i, fp) in fps.iter().enumerate() {
+        if first.contains_key(fp) {
+            continue;
+        }
+        first.insert(*fp, i);
+        match runcache::lookup(fp, cache) {
+            Some((mut r, _)) => {
+                // Fingerprint equality makes the cached spec equal to the
+                // requested one; overwrite anyway so a cache can never
+                // alter what a figure prints about its own inputs.
+                r.spec = specs[i];
+                results[i] = Some(r);
+                progress.tick(true);
             }
-            first.insert(*fp, i);
-            let probe_t0 = Instant::now();
-            match runcache::lookup(fp, cache) {
-                Some((mut r, tier)) => {
-                    // Fingerprint equality makes the cached spec equal to
-                    // the requested one; overwrite anyway so a cache can
-                    // never alter what a figure prints about its own
-                    // inputs.
-                    r.spec = specs[i];
-                    emit_cell_start(&specs[i], fp);
-                    emit_cell_end(
-                        &specs[i],
-                        fp,
-                        tier.label(),
-                        &r,
-                        probe_t0.elapsed().as_micros() as u64,
-                    );
-                    results[i] = Some(r);
-                    progress.tick(true);
-                }
-                None => {
-                    runcache::note_miss();
-                    to_run.push(i);
-                }
+            None => {
+                runcache::note_miss();
+                to_run.push(i);
             }
         }
     }
     let missing: Vec<WorkloadSpec> = to_run.iter().map(|&i| specs[i]).collect();
-    let missing_fps: Vec<Fingerprint> = to_run.iter().map(|&i| fps[i]).collect();
-    for (&i, r) in to_run
-        .iter()
-        .zip(run_cells(&missing, jobs, Some(&missing_fps), progress))
-    {
+    for (&i, r) in to_run.iter().zip(run_cells(&missing, jobs, progress)) {
         if let Some(r) = &r {
             runcache::insert(&fps[i], r, cache);
         }
@@ -284,8 +229,6 @@ fn grid_with_cache(
             };
             r.spec = specs[i];
             runcache::note_dedup_fanout();
-            emit_cell_start(&specs[i], &fps[i]);
-            emit_cell_end(&specs[i], &fps[i], "dedup", &r, 0);
             progress.tick(true);
             results[i] = Some(r);
         }
@@ -311,11 +254,10 @@ pub fn run_crash_sweep(spec: &WorkloadSpec, points: &[u64], snap_every: u64) -> 
     run_crash_sweep_with(spec, points, snap_every, &RunCacheConfig::from_env())
 }
 
-/// [`run_crash_sweep`] with an explicit cache configuration. Emits the
-/// same observability records as a grid run — `grid_start`/`grid_end`
-/// brackets, one `cell_start`/`cell_end` pair per crash point plus one
-/// for the baseline, progress ticks. Stdout is untouched; results come
-/// back in point order whatever hits.
+/// [`run_crash_sweep`] with an explicit cache configuration. Ticks the
+/// same progress line as a grid run, one cell per crash point plus one
+/// for the baseline. Stdout is untouched; results come back in point
+/// order whatever hits.
 pub fn run_crash_sweep_with(
     spec: &WorkloadSpec,
     points: &[u64],
@@ -323,45 +265,21 @@ pub fn run_crash_sweep_with(
     cache: &RunCacheConfig,
 ) -> SweepResult {
     asap_sim::warn_unknown_asap_env();
-    let events_on = events::enabled();
     let progress = Progress::from_env(points.len() + 1);
-    let t0 = Instant::now();
-    if events_on {
-        events::Event::new("grid_start")
-            .field_str("schema", events::SCHEMA)
-            .field_u64("cells", points.len() as u64 + 1)
-            .field_u64("jobs", sweep_jobs() as u64)
-            .field_str("cache", if cache.enabled() { "on" } else { "off" })
-            .emit();
-    }
     let fork_specs: Vec<WorkloadSpec> = points.iter().map(|&n| spec.with_crash_after(n)).collect();
-    let want_fps = cache.enabled() || events_on;
-    let fps: Option<Vec<Fingerprint>> = want_fps.then(|| {
-        let _t = phase::scope(phase::Phase::Fingerprint);
-        fork_specs.iter().map(WorkloadSpec::fingerprint).collect()
-    });
-    let base_fp = want_fps.then(|| spec.fingerprint());
+    let fps: Option<Vec<Fingerprint>> = cache
+        .enabled()
+        .then(|| fork_specs.iter().map(WorkloadSpec::fingerprint).collect());
+    let base_fp = cache.enabled().then(|| spec.fingerprint());
 
     let mut forks: Vec<Option<RunResult>> = vec![None; points.len()];
     let mut baseline: Option<RunResult> = None;
     let mut first: HashMap<Fingerprint, usize> = HashMap::new();
     let mut to_run: Vec<usize> = Vec::new();
-    if cache.enabled() {
-        let fps = fps.as_deref().expect("cache implies fps");
-        let bfp = base_fp.as_ref().expect("cache implies fps");
-        let _t = phase::scope(phase::Phase::CacheProbe);
-        let probe_t0 = Instant::now();
+    if let (Some(fps), Some(bfp)) = (&fps, &base_fp) {
         match runcache::lookup(bfp, cache) {
-            Some((mut r, tier)) => {
+            Some((mut r, _)) => {
                 r.spec = *spec;
-                emit_cell_start(spec, bfp);
-                emit_cell_end(
-                    spec,
-                    bfp,
-                    tier.label(),
-                    &r,
-                    probe_t0.elapsed().as_micros() as u64,
-                );
                 baseline = Some(r);
                 progress.tick(true);
             }
@@ -372,18 +290,9 @@ pub fn run_crash_sweep_with(
                 continue;
             }
             first.insert(*fp, i);
-            let probe_t0 = Instant::now();
             match runcache::lookup(fp, cache) {
-                Some((mut r, tier)) => {
+                Some((mut r, _)) => {
                     r.spec = fork_specs[i];
-                    emit_cell_start(&fork_specs[i], fp);
-                    emit_cell_end(
-                        &fork_specs[i],
-                        fp,
-                        tier.label(),
-                        &r,
-                        probe_t0.elapsed().as_micros() as u64,
-                    );
                     forks[i] = Some(r);
                     progress.tick(true);
                 }
@@ -401,38 +310,18 @@ pub fn run_crash_sweep_with(
     let mut replayed_writes = 0;
     if baseline.is_none() || !to_run.is_empty() {
         // One sweep covers the baseline and every missing point: the
-        // prefix has to be executed to build the snapshots anyway, and
-        // the baseline's completion falls out of it for free.
+        // prefix has to be executed to reach the points anyway, and the
+        // baseline's completion falls out of it for free.
         let missing: Vec<u64> = to_run.iter().map(|&i| points[i]).collect();
-        if baseline.is_none() {
-            if let Some(bfp) = &base_fp {
-                emit_cell_start(spec, bfp);
-            }
-        }
-        for &i in &to_run {
-            if let Some(fps) = &fps {
-                emit_cell_start(&fork_specs[i], &fps[i]);
-            }
-        }
-        let sim_t0 = Instant::now();
-        let sweep = {
-            let _t = phase::scope(phase::Phase::Simulate);
-            // The walk + env-configured fork pool: bit-identical to the
-            // serial flat sweep, only faster and memory-bounded.
-            let cfg = SweepConfig::tree(snap_every).with_jobs(sweep_jobs());
-            run_sweep_with(spec, &missing, &cfg)
-        };
+        // The walk + env-configured fork pool: bit-identical to the
+        // serial flat sweep, only faster and memory-bounded.
+        let cfg = SweepConfig::tree(snap_every).with_jobs(sweep_jobs());
+        let sweep = run_sweep_with(spec, &missing, &cfg);
         prefix_writes = sweep.prefix_writes;
         replayed_writes = sweep.replayed_writes;
-        // Host time split evenly across the cells the sweep served —
-        // the prefix is shared, so no per-cell attribution is exact.
-        let per_us = sim_t0.elapsed().as_micros() as u64 / (to_run.len() as u64 + 1);
         for (&i, r) in to_run.iter().zip(sweep.forks) {
             if let Some(fps) = &fps {
-                emit_cell_end(&fork_specs[i], &fps[i], "miss", &r, per_us);
-                if cache.enabled() {
-                    runcache::insert(&fps[i], &r, cache);
-                }
+                runcache::insert(&fps[i], &r, cache);
             }
             forks[i] = Some(r);
             progress.tick(false);
@@ -446,10 +335,7 @@ pub fn run_crash_sweep_with(
             // rebuilt below from the assembled forks either way.
             b.crash_points.clear();
             if let Some(bfp) = &base_fp {
-                emit_cell_end(spec, bfp, "miss", &b, per_us);
-                if cache.enabled() {
-                    runcache::insert(bfp, &b, cache);
-                }
+                runcache::insert(bfp, &b, cache);
             }
             baseline = Some(b);
             progress.tick(false);
@@ -463,8 +349,6 @@ pub fn run_crash_sweep_with(
             let mut r = forks[first[&fps[i]]].clone().expect("representative ran");
             r.spec = fork_specs[i];
             runcache::note_dedup_fanout();
-            emit_cell_start(&fork_specs[i], &fps[i]);
-            emit_cell_end(&fork_specs[i], &fps[i], "dedup", &r, 0);
             progress.tick(true);
             forks[i] = Some(r);
         }
@@ -494,15 +378,6 @@ pub fn run_crash_sweep_with(
         })
         .collect();
     progress.finish();
-    if events_on {
-        let c = runcache::counters();
-        events::Event::new("grid_end")
-            .field_u64("cells", points.len() as u64 + 1)
-            .field_u64("host_us", t0.elapsed().as_micros() as u64)
-            .field_u64("cache_hits", c.hits())
-            .field_u64("cache_misses", c.misses)
-            .emit();
-    }
     if cache.enabled() {
         obs::note!("{}", runcache::summary_line(&runcache::counters()));
     }
@@ -519,19 +394,16 @@ pub fn run_crash_sweep_with(
 
 /// Simulates every spec on `jobs` workers of the shared pool, no
 /// memoization; cells are self-scheduled because they vary widely in cost
-/// (2KB payloads are ~10x 64B cells). A cell that panicked is warned about
-/// and comes back `None`. `fps` is present whenever the event stream is on
-/// (the grid runner computes fingerprints for either consumer), so cell
-/// records can be keyed by content.
-fn run_cells(
-    specs: &[WorkloadSpec],
-    jobs: usize,
-    fps: Option<&[Fingerprint]>,
-    progress: &Progress,
-) -> Vec<Option<RunResult>> {
+/// (2KB payloads are ~10x 64B cells). Each worker counts its cells in the
+/// `pool.worker<i>.cells` metric. A cell that panicked is warned about and
+/// comes back `None`.
+fn run_cells(specs: &[WorkloadSpec], jobs: usize, progress: &Progress) -> Vec<Option<RunResult>> {
     let workers: Vec<usize> = (0..jobs.max(1)).collect();
     asap_sim::pool::ordered(workers, specs.len(), |w, i| {
-        run_cell(i, specs, fps, progress, *w)
+        let r = run(&specs[i]);
+        metrics::counter(&format!("pool.worker{w}.cells")).inc();
+        progress.tick(false);
+        r
     })
     .into_iter()
     .zip(specs)
@@ -561,277 +433,6 @@ fn panic_message(panic: &(dyn Any + Send)) -> &str {
         .copied()
         .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("non-string panic payload")
-}
-
-/// Simulates one cell on worker `w`, bracketing it with cell events and
-/// accounting host time to the Simulate phase and the worker's registry
-/// counters.
-fn run_cell(
-    i: usize,
-    specs: &[WorkloadSpec],
-    fps: Option<&[Fingerprint]>,
-    progress: &Progress,
-    w: usize,
-) -> RunResult {
-    let spec = &specs[i];
-    let fp = fps.map(|f| &f[i]);
-    if let Some(fp) = fp {
-        emit_cell_start(spec, fp);
-    }
-    let t0 = Instant::now();
-    let r = {
-        let _t = phase::scope(phase::Phase::Simulate);
-        run(spec)
-    };
-    let host_us = t0.elapsed().as_micros() as u64;
-    if let Some(fp) = fp {
-        emit_cell_end(spec, fp, "miss", &r, host_us);
-    }
-    metrics::counter(&format!("pool.worker{w}.cells")).inc();
-    metrics::counter(&format!("pool.worker{w}.busy_us")).add(host_us);
-    progress.tick(false);
-    r
-}
-
-/// Starts a cell record carrying the cell's identity fields.
-fn cell_record(ev: &str, spec: &WorkloadSpec, fp: &Fingerprint) -> events::Event {
-    events::Event::new(ev)
-        .field_str("fp", &fp.hex())
-        .field_str("bench", spec.bench.label())
-        .field_str("scheme", spec.scheme.name())
-}
-
-/// Emits `cell_start` (no-op with the stream off).
-fn emit_cell_start(spec: &WorkloadSpec, fp: &Fingerprint) {
-    if events::enabled() {
-        cell_record("cell_start", spec, fp).emit();
-    }
-}
-
-/// Emits `cell_end`. `cache` says how the cell was served: `"miss"`
-/// (simulated), `"mem"`/`"disk"` (tier hit), or `"dedup"` (intra-grid
-/// fan-out copy).
-fn emit_cell_end(spec: &WorkloadSpec, fp: &Fingerprint, cache: &str, r: &RunResult, host_us: u64) {
-    if !events::enabled() {
-        return;
-    }
-    let outcome = match r.outcome {
-        RunOutcome::Completed => "completed",
-        RunOutcome::Crashed => "crashed",
-    };
-    cell_record("cell_end", spec, fp)
-        .field_str("outcome", outcome)
-        .field_str("cache", cache)
-        .field_u64("host_us", host_us)
-        .field_u64("sim_cycles", r.exec_cycles)
-        .emit();
-}
-
-/// Sums a counter across results (used by the wall-clock report).
-fn total(results: &[&[RunResult]], f: impl Fn(&RunResult) -> u64) -> u64 {
-    results.iter().flat_map(|g| g.iter()).map(&f).sum()
-}
-
-/// Appends one record for `figure` to the wall-clock trajectory file
-/// (`BENCH_WALLCLOCK.json`, override with `ASAP_WALLCLOCK`; set it empty to
-/// disable), then exports the figure's merged telemetry (see
-/// [`merged_telemetry_json`]) whatever the wall-clock setting. The file
-/// is a JSON array of records: `{figure, host_seconds, jobs, cells,
-/// cache, sim_cycles, pm_writes, phases, metrics, unix_time}` — host
-/// seconds move with harness work; simulated cycles and traffic must
-/// not, which is what makes the trajectory useful to future perf PRs.
-/// `cache` is `"warm"` when any run-cache hit served part of this
-/// process (so its host seconds measure the memoized path, not the
-/// simulator) and `"cold"` otherwise; perf comparisons must skip warm
-/// records. `phases` is the host-phase profile *taken* at write time
-/// ([`phase::take_snapshot_json`]): each record owns the interval since
-/// the previous record, so back-to-back emits in one process (e.g.
-/// `crash_sweep` then `crash_sweep_legacy`) never repeat each other's
-/// `simulate_us`/`cells_timed`. `metrics` is the process-cumulative
-/// host metrics registry ([`metrics::snapshot_json`]): run-cache
-/// traffic, per-worker pool time, and the simulator's host-side
-/// structure counters.
-///
-/// The note confirming the write goes to *stderr*: stdout stays
-/// byte-identical across `ASAP_JOBS` settings and host speeds.
-pub fn emit_wallclock(figure: &str, elapsed: Duration, grids: &[&[RunResult]]) {
-    emit_wallclock_env(figure, elapsed, grids, None);
-}
-
-/// [`emit_wallclock`] for crash sweeps: the record additionally carries
-/// `crash_points` (how many points the sweep covered) and
-/// `points_per_sec` (that count over the host seconds) — the sweep
-/// throughput.
-pub fn emit_wallclock_sweep(
-    figure: &str,
-    elapsed: Duration,
-    grids: &[&[RunResult]],
-    crash_points: u64,
-) {
-    emit_wallclock_env(figure, elapsed, grids, Some(crash_points));
-}
-
-fn emit_wallclock_env(
-    figure: &str,
-    elapsed: Duration,
-    grids: &[&[RunResult]],
-    crash_points: Option<u64>,
-) {
-    let path = match std::env::var("ASAP_WALLCLOCK") {
-        Ok(p) if p.is_empty() => None,
-        Ok(p) => Some(std::path::PathBuf::from(p)),
-        // CARGO_MANIFEST_DIR of this crate is crates/bench.
-        Err(_) => Some(
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_WALLCLOCK.json"),
-        ),
-    };
-    if let Some(path) = path {
-        if let Err(e) = emit_wallclock_record(&path, figure, elapsed, grids, crash_points) {
-            obs::warn!("wallclock: could not write {}: {e}", path.display());
-        }
-    }
-    emit_telemetry(figure, grids);
-}
-
-/// The write behind [`emit_wallclock`], with an explicit path so tests
-/// can aim it at a temp (or unwritable) location. The stderr note and
-/// the `wallclock_written` event fire only after the atomic rename has
-/// returned `Ok` — a failed write must never claim the record landed.
-pub fn emit_wallclock_to(
-    path: &std::path::Path,
-    figure: &str,
-    elapsed: Duration,
-    grids: &[&[RunResult]],
-) -> std::io::Result<()> {
-    emit_wallclock_record(path, figure, elapsed, grids, None)
-}
-
-/// [`emit_wallclock_to`] with the optional sweep-throughput fields.
-pub fn emit_wallclock_record(
-    path: &std::path::Path,
-    figure: &str,
-    elapsed: Duration,
-    grids: &[&[RunResult]],
-    crash_points: Option<u64>,
-) -> std::io::Result<()> {
-    let _t = phase::scope(phase::Phase::Export);
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let cache_tag = if runcache::counters().hits() > 0 {
-        "warm"
-    } else {
-        "cold"
-    };
-    let sweep_fields = crash_points.map_or(String::new(), |n| {
-        format!(
-            "\"crash_points\":{n},\"points_per_sec\":{:.1},",
-            n as f64 / elapsed.as_secs_f64().max(1e-9)
-        )
-    });
-    let record = format!(
-        "{{\"figure\":\"{}\",\"host_seconds\":{:.3},\"jobs\":{},\"cells\":{},\
-         \"cache\":\"{}\",\"sim_cycles\":{},\"pm_writes\":{},{}\"phases\":{},\
-         \"metrics\":{},\"unix_time\":{}}}",
-        figure,
-        elapsed.as_secs_f64(),
-        jobs(),
-        grids.iter().map(|g| g.len()).sum::<usize>(),
-        cache_tag,
-        total(grids, |r| r.exec_cycles),
-        total(grids, |r| r.pm_writes),
-        sweep_fields,
-        phase::take_snapshot_json(),
-        metrics::snapshot_json(),
-        unix_time,
-    );
-    // The file is a JSON array; append the record so repeated figure runs
-    // accumulate a trajectory, keeping only the newest
-    // [`MAX_WALLCLOCK_ENTRIES`] records per figure (prior records are kept
-    // verbatim — only membership changes, never formatting).
-    let mut records: Vec<String> = std::fs::read_to_string(path)
-        .map(|prev| extract_json_objects(&prev))
-        .unwrap_or_default();
-    records.push(record);
-    let dropped = cap_trajectory(&mut records, figure);
-    let body = format!("[\n  {}\n]\n", records.join(",\n  "));
-    // Write-temp-then-rename: figures may run concurrently (or be
-    // interrupted), and a half-written trajectory file would poison every
-    // later append. `rename` within one directory is atomic on POSIX.
-    write_atomic(path, &body)?;
-    if dropped > 0 {
-        obs::note!(
-            "wallclock: {figure} trajectory capped at {MAX_WALLCLOCK_ENTRIES} \
-             entries ({dropped} oldest dropped)"
-        );
-    }
-    obs::note!(
-        "wallclock: {figure} {:.3}s ({} jobs) -> {}",
-        elapsed.as_secs_f64(),
-        jobs(),
-        path.display()
-    );
-    if events::enabled() {
-        events::Event::new("wallclock_written")
-            .field_str("figure", figure)
-            .field_f64("host_seconds", elapsed.as_secs_f64())
-            .field_str("path", &path.display().to_string())
-            .emit();
-    }
-    Ok(())
-}
-
-/// Newest records kept per figure in the wall-clock trajectory file; the
-/// oldest beyond this are dropped on append (noted on stderr).
-const MAX_WALLCLOCK_ENTRIES: usize = 64;
-
-/// Extracts the top-level `{…}` objects of a JSON array as verbatim text
-/// slices. Brace-depth counting copes with nested objects (the `phases`
-/// and `metrics` sub-objects); the records never put brace characters
-/// inside strings (metric names are dotted identifiers). A
-/// malformed file yields an empty list, so the caller starts a fresh
-/// trajectory rather than corrupting the file further.
-fn extract_json_objects(s: &str) -> Vec<String> {
-    let mut v = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in s.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            '}' if depth > 0 => {
-                depth -= 1;
-                if depth == 0 {
-                    v.push(s[start..=i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    v
-}
-
-/// Drops the oldest records of `figure` beyond [`MAX_WALLCLOCK_ENTRIES`]
-/// (other figures' records are untouched) and returns how many were
-/// dropped.
-fn cap_trajectory(records: &mut Vec<String>, figure: &str) -> usize {
-    let tag = format!("\"figure\":\"{figure}\"");
-    let mine = records.iter().filter(|r| r.contains(&tag)).count();
-    let dropped = mine.saturating_sub(MAX_WALLCLOCK_ENTRIES);
-    let mut left = dropped;
-    records.retain(|r| {
-        if left > 0 && r.contains(&tag) {
-            left -= 1;
-            false
-        } else {
-            true
-        }
-    });
-    dropped
 }
 
 /// Writes `body` to a same-directory temp file, then renames it over
@@ -866,12 +467,13 @@ pub fn merged_telemetry_json(figure: &str, grids: &[&[RunResult]]) -> Option<Str
     ))
 }
 
-/// Writes the merged telemetry for `figure` under the `ASAP_TELEMETRY_OUT`
-/// directory (default `target/telemetry/` next to the workspace root;
-/// empty disables). A no-op when telemetry was off for every run. Called
-/// from [`emit_wallclock`] whether or not the wall-clock record is on, so
-/// every figure bench exports for free.
-fn emit_telemetry(figure: &str, grids: &[&[RunResult]]) {
+/// Writes the merged telemetry of `figure`'s grids ([`merged_telemetry_json`])
+/// to `<dir>/<figure>.json`, where `<dir>` is `ASAP_TELEMETRY_OUT`
+/// (default `target/telemetry/` next to the workspace root; empty
+/// disables). A no-op when telemetry was off for every run. Each figure
+/// bench calls it once its grids are done; the note confirming the write
+/// goes to stderr, so stdout stays byte-identical.
+pub fn export_telemetry(figure: &str, grids: &[&[RunResult]]) {
     let Some(merged) = merged_telemetry_json(figure, grids) else {
         return;
     };
@@ -881,7 +483,6 @@ fn emit_telemetry(figure: &str, grids: &[&[RunResult]]) {
         Err(_) => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/telemetry"),
     };
     let path = dir.join(format!("{figure}.json"));
-    let _t = phase::scope(phase::Phase::Export);
     let res = std::fs::create_dir_all(&dir).and_then(|()| write_atomic(&path, &merged));
     match res {
         Ok(()) => obs::note!("telemetry: {figure} -> {}", path.display()),
@@ -928,36 +529,6 @@ pub fn header(label: &str, cols: &[&str]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trajectory_extraction_and_cap() {
-        assert!(extract_json_objects("garbage").is_empty());
-        assert!(extract_json_objects("").is_empty());
-        let s = "[\n  {\"figure\":\"a\",\"x\":1},\n  {\"figure\":\"b\",\"x\":2}\n]\n";
-        assert_eq!(
-            extract_json_objects(s),
-            vec!["{\"figure\":\"a\",\"x\":1}", "{\"figure\":\"b\",\"x\":2}"]
-        );
-
-        // Over-full trajectory: the oldest records of the capped figure
-        // are dropped, records of other figures stay, order is preserved.
-        let mut records: Vec<String> = (0..MAX_WALLCLOCK_ENTRIES + 3)
-            .map(|i| format!("{{\"figure\":\"f7\",\"n\":{i}}}"))
-            .collect();
-        records.insert(1, "{\"figure\":\"other\",\"n\":99}".to_string());
-        assert_eq!(cap_trajectory(&mut records, "f7"), 3);
-        assert_eq!(records.len(), MAX_WALLCLOCK_ENTRIES + 1);
-        assert_eq!(records[0], "{\"figure\":\"other\",\"n\":99}");
-        assert_eq!(records[1], "{\"figure\":\"f7\",\"n\":3}");
-        assert_eq!(
-            records.last().unwrap(),
-            &format!("{{\"figure\":\"f7\",\"n\":{}}}", MAX_WALLCLOCK_ENTRIES + 2)
-        );
-        // Under the cap: untouched.
-        assert_eq!(cap_trajectory(&mut records, "f7"), 0);
-        assert_eq!(cap_trajectory(&mut records, "other"), 0);
-        assert_eq!(records.len(), MAX_WALLCLOCK_ENTRIES + 1);
-    }
 
     #[test]
     fn geomean_basics() {

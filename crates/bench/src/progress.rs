@@ -94,8 +94,8 @@ impl Progress {
         obs_log::status_line_active(true);
     }
 
-    /// Erases the status line so whatever stderr prints next (run-cache
-    /// summary, wall-clock notes) starts on a clean column.
+    /// Erases the status line so whatever stderr prints next (the
+    /// run-cache summary, say) starts on a clean column.
     pub fn finish(&self) {
         if self.draw {
             obs_log::clear_status_line();

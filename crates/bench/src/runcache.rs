@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use asap_sim::fingerprint::{build_fingerprint, Fingerprint};
-use asap_sim::obs::{self, events, metrics};
+use asap_sim::obs::{self, metrics};
 use asap_workloads::{resultjson, RunResult};
 
 /// Which tiers a grid run consults, and the disk-store shape.
@@ -120,8 +120,7 @@ fn disk_dir_from_env() -> PathBuf {
     }
 }
 
-/// Process-cumulative cache traffic, printed by the grid runner and used
-/// to tag wall-clock records `warm`/`cold`.
+/// Process-cumulative cache traffic, printed by the grid runner.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Hits served by the in-process tier.
@@ -208,24 +207,13 @@ fn build_dir(root: &Path) -> Option<PathBuf> {
     Some(root.join(build_fingerprint()?.hex()))
 }
 
-/// Which tier served a cache hit — carried into the `cell_end` run
-/// event so a stream consumer can tell warm cells from simulated ones.
+/// Which tier served a cache hit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HitTier {
     /// Served by the in-process map.
     Mem,
     /// Served by (and promoted from) the disk store.
     Disk,
-}
-
-impl HitTier {
-    /// The `cache` field value used in run events.
-    pub fn label(self) -> &'static str {
-        match self {
-            HitTier::Mem => "mem",
-            HitTier::Disk => "disk",
-        }
-    }
 }
 
 /// Looks `fp` up in the configured tiers. A disk hit is promoted into
@@ -383,10 +371,6 @@ fn evict_over_cap(dir: &Path, cap: usize) {
     for (_, p) in files.into_iter().take(excess) {
         if std::fs::remove_file(&p).is_ok() {
             metrics::counter(EVICTED).inc();
-            if events::enabled() {
-                let fp = p.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-                events::Event::new("cache_evict").field_str("fp", fp).emit();
-            }
         }
     }
 }

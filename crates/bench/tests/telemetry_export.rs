@@ -1,14 +1,11 @@
-//! Regression: turning the wall-clock record off (`ASAP_WALLCLOCK=`) must
-//! not also drop the figure's telemetry export. `emit_wallclock` used to
-//! return before it reached the exporter whenever the record was off.
+//! A figure's telemetry export lands under `ASAP_TELEMETRY_OUT` as one
+//! parseable document with one telemetry object per cell, in spec order.
 //!
-//! One `#[test]`, in its own test binary: it sets process environment
-//! variables that the harness reads.
-
-use std::time::Duration;
+//! One `#[test]`, in its own test binary: it sets a process environment
+//! variable that the harness reads.
 
 use asap_bench::runcache::RunCacheConfig;
-use asap_bench::{emit_wallclock, run_grid_with};
+use asap_bench::{export_telemetry, run_grid_with};
 use asap_core::scheme::SchemeKind;
 use asap_sim::json::{self, Value};
 use asap_sim::TelemetrySettings;
@@ -18,7 +15,6 @@ use asap_workloads::{BenchId, WorkloadSpec};
 fn telemetry_exports_with_the_wallclock_record_off() {
     let tmp = std::env::temp_dir().join(format!("asap-telemetry-export-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
-    std::env::set_var("ASAP_WALLCLOCK", "");
     std::env::set_var("ASAP_TELEMETRY_OUT", &tmp);
 
     let specs: Vec<WorkloadSpec> = [BenchId::Q, BenchId::Hm]
@@ -31,7 +27,7 @@ fn telemetry_exports_with_the_wallclock_record_off() {
         })
         .collect();
     let grid = run_grid_with(&specs, 1, &RunCacheConfig::off());
-    emit_wallclock("telemetry_export", Duration::from_millis(5), &[&grid]);
+    export_telemetry("telemetry_export", &[&grid]);
 
     let path = tmp.join("telemetry_export.json");
     let body = std::fs::read_to_string(&path)

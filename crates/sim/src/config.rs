@@ -297,7 +297,6 @@ impl Default for SystemConfig {
 pub const KNOWN_ASAP_ENV: &[&str] = &[
     "ASAP_BENCHES",
     "ASAP_CRASH_SWEEP",
-    "ASAP_EVENTS",
     "ASAP_JOBS",
     "ASAP_OPS",
     "ASAP_PROGRESS",
@@ -308,7 +307,6 @@ pub const KNOWN_ASAP_ENV: &[&str] = &[
     "ASAP_TELEMETRY",
     "ASAP_TELEMETRY_OUT",
     "ASAP_THREADS",
-    "ASAP_WALLCLOCK",
 ];
 
 /// Returns the `ASAP_`-prefixed names from `names` that are not in

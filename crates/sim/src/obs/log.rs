@@ -6,7 +6,6 @@
 //! a full log line never lands on top of stale progress text. Both write
 //! to stderr only — bench stdout stays byte-identical whatever they print.
 
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Whether a `\r`-style status line (the `ASAP_PROGRESS` ticker) is
@@ -23,11 +22,13 @@ pub fn status_line_active(active: bool) {
 
 /// Erases the current status line (carriage return + erase-to-EOL) if
 /// one is active. Cheap no-op otherwise; safe from any thread.
+///
+/// Goes through `eprint!` like the ticker that drew the line, so the
+/// test harness captures the escape along with the test's other output
+/// instead of writing it into the harness's own result lines.
 pub fn clear_status_line() {
     if STATUS_ACTIVE.swap(false, Ordering::AcqRel) {
-        let mut err = std::io::stderr().lock();
-        let _ = err.write_all(b"\r\x1b[K");
-        let _ = err.flush();
+        eprint!("\r\x1b[K");
     }
 }
 

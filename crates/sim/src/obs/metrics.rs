@@ -12,9 +12,8 @@
 //! deterministic.
 //!
 //! [`snapshot_json`] renders everything as one JSON object that
-//! [`crate::json::parse`] round-trips; the bench harness embeds it in
-//! every `BENCH_WALLCLOCK.json` record and the HTML run report, and tests
-//! assert it against legacy summary lines.
+//! [`crate::json::parse`] round-trips; the HTML run report renders it,
+//! and tests assert it against the run cache's summary line.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

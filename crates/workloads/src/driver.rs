@@ -554,24 +554,12 @@ impl SweepShared<'_> {
     }
 }
 
-/// Counts one fork and emits its `crash_fork` event. `snap_writes` is the
-/// post-setup write count the fork's state came from: a spine snapshot
-/// for a flat fork, its own crashing write for a walked one.
-fn note_fork(spec: &WorkloadSpec, n: u64, snap_writes: u64, replayed: u64, worker: u64) {
-    use asap_sim::obs::{events, metrics};
+/// Counts one fork in the `snapshot.forks` metric, and the writes it
+/// replayed in `snapshot.replayed_writes`.
+fn note_fork(replayed: u64) {
+    use asap_sim::obs::metrics;
     metrics::counter("snapshot.forks").inc();
     metrics::counter("snapshot.replayed_writes").add(replayed);
-    if events::enabled() {
-        events::Event::new("crash_fork")
-            .field_str("bench", spec.bench.label())
-            .field_str("scheme", &spec.scheme.to_string())
-            .field_u64("crash_after", n)
-            .field_u64("snap_writes", snap_writes)
-            .field_u64("replayed", replayed)
-            .field_u64("tree_depth", 0)
-            .field_u64("worker", worker)
-            .emit();
-    }
 }
 
 /// The flat reference path over `idxs`: each point restores the latest
@@ -582,7 +570,6 @@ fn flat_forks(
     sh: &SweepShared<'_>,
     idxs: &[usize],
     m: &mut Machine,
-    worker: u64,
 ) -> Vec<(usize, RunResult, u64)> {
     let spec = sh.spec;
     let mut bench = sh.bench;
@@ -596,7 +583,7 @@ fn flat_forks(
             let outcome = m.run(&mut steps);
             drop(steps);
             let replayed = m.pm_write_ops() - snap_writes;
-            note_fork(spec, n, snap_writes - sh.marks.armed_base, replayed, worker);
+            note_fork(replayed);
             let r = collect(m, &mut bench, &spec.with_crash_after(n), outcome, &sh.marks);
             (i, r, replayed)
         })
@@ -619,7 +606,6 @@ fn walk(
     m: &mut Machine,
     state: &SharedStates,
     to_end: bool,
-    worker: u64,
 ) -> Vec<(usize, RunResult, u64)> {
     let spec = sh.spec;
     let mut bench = sh.bench;
@@ -630,13 +616,7 @@ fn walk(
         let fired = live.pm_write_ops();
         let first = next;
         while next < idxs.len() && sh.target(idxs[next]) <= fired {
-            note_fork(
-                spec,
-                sh.points[idxs[next]],
-                fired - sh.marks.armed_base,
-                0,
-                worker,
-            );
+            note_fork(0);
             next += 1;
         }
         let fspec = |i: usize| spec.with_crash_after(sh.points[i]);
@@ -763,7 +743,7 @@ pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) ->
     };
 
     let (mut baseline, done, prefix_writes) = if cfg.walk && jobs == 1 {
-        let done = walk(&sh, &order, &mut m, &state, true, 0);
+        let done = walk(&sh, &order, &mut m, &state, true);
         let prefix_writes = m.pm_write_ops() - marks.armed_base;
         let baseline = collect(&mut m, &mut bench, spec, RunOutcome::Completed, &marks);
         (baseline, done, prefix_writes)
@@ -786,18 +766,17 @@ pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) ->
             .collect();
         // Worker 0 forks on the prefix machine; the others build their
         // scratch machine on first use, on their own thread.
-        let mut workers: Vec<(u64, Option<Machine>)> =
-            (0..jobs as u64).map(|w| (w, None)).collect();
-        workers[0].1 = Some(m);
-        let chunk_results = asap_sim::pool::ordered(workers, chunks.len(), |(w, wm), c| {
+        let mut workers: Vec<Option<Machine>> = (0..jobs).map(|_| None).collect();
+        workers[0] = Some(m);
+        let chunk_results = asap_sim::pool::ordered(workers, chunks.len(), |wm, c| {
             let wm = wm.get_or_insert_with(|| machine_for(spec));
             let idxs = chunks[c];
             if cfg.walk {
                 let state: SharedStates = Rc::new(RefCell::new(Vec::new()));
                 sh.restore_spine(idxs[0], wm, &state);
-                walk(&sh, idxs, wm, &state, false, *w)
+                walk(&sh, idxs, wm, &state, false)
             } else {
-                flat_forks(&sh, idxs, wm, *w)
+                flat_forks(&sh, idxs, wm)
             }
         });
         // Merge: output is a pure function of the per-point results,
@@ -821,7 +800,7 @@ pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) ->
     let mut replayed_writes = 0u64;
     for (i, slot) in slots.into_iter().enumerate() {
         let (r, replayed) = slot.unwrap_or_else(|| {
-            note_fork(spec, points[i], prefix_writes, 0, 0);
+            note_fork(0);
             let mut r = baseline.clone();
             r.spec = spec.with_crash_after(points[i]);
             (r, 0)
@@ -945,9 +924,9 @@ fn flush_host_metrics(m: &Machine) {
     metrics::gauge("mem.fwd_slab.hwm").set_max(m.hw().mem.fwd_slab_hwm());
     // Telemetry sampler health: whether long runs are still sampling at
     // useful resolution. The period doubles on every decimation, so a
-    // wall-clock record's `metrics` object showing `telemetry.period` far
-    // above the configured one (or a climbing `telemetry.decimations`)
-    // flags resolution loss.
+    // metrics snapshot (the run report's registry tables) showing
+    // `telemetry.period` far above the configured one (or a climbing
+    // `telemetry.decimations`) flags resolution loss.
     let ts = m.timeseries();
     if ts.enabled() {
         metrics::gauge("telemetry.series").set(ts.names().len() as u64);
@@ -1130,11 +1109,9 @@ mod tests {
                 );
             }
             if cfg.walk {
-                assert!(
-                    sw.replayed_writes < flat.replayed_writes,
-                    "tree replays less: {} vs flat {} under {cfg:?}",
-                    sw.replayed_writes,
-                    flat.replayed_writes
+                assert_eq!(
+                    sw.replayed_writes, 0,
+                    "a walk replays nothing under {cfg:?}"
                 );
             }
         }

@@ -29,7 +29,7 @@
 use std::time::Instant;
 
 use asap_bench::runcache::RunCacheConfig;
-use asap_bench::{emit_wallclock, emit_wallclock_sweep, ops, run_crash_sweep_with, threads};
+use asap_bench::{ops, run_crash_sweep_with, threads};
 use asap_core::scheme::SchemeKind;
 use asap_sim::obs::metrics;
 use asap_workloads::resultjson::results_identical;
@@ -148,7 +148,6 @@ fn main() {
             "all {} forks identical to legacy re-runs; all recoveries verified",
             points.len()
         );
-        emit_wallclock("crash_sweep_legacy", legacy_elapsed, &[&legacy]);
         let speedup = legacy_elapsed.as_secs_f64() / sweep_elapsed.as_secs_f64().max(1e-9);
         eprintln!(
             "crash_sweep: sweep {:.3}s vs legacy {:.3}s ({speedup:.1}x)",
@@ -169,12 +168,6 @@ fn main() {
         );
     }
 
-    emit_wallclock_sweep(
-        "crash_sweep",
-        sweep_elapsed,
-        &[&sweep.forks],
-        points.len() as u64,
-    );
     // The ci.sh parallel gate parses this line from two runs (serial and
     // ASAP_SWEEP_JOBS=2) and compares the seconds.
     eprintln!(

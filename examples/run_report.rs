@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 use asap_core::scheme::SchemeKind;
 use asap_sim::json::{self, Value};
-use asap_sim::obs::{metrics, phase};
+use asap_sim::obs::metrics;
 use asap_sim::TelemetrySettings;
 use asap_workloads::{run, BenchId, RunResult, WorkloadSpec};
 
@@ -90,7 +90,6 @@ fn build_report(
     r: &RunResult,
     ts: &Value,
     lc: &Value,
-    phases: &Value,
     metrics_snap: &Value,
 ) -> Result<String, String> {
     let mut h = String::new();
@@ -221,26 +220,8 @@ fn build_report(
     // --- Host profile -----------------------------------------------------
     h.push_str(
         "<h2>Host profile</h2>\n\
-         <p>Where the <em>host</em> time of this process went (virtual-time \
-         results are unaffected), plus the process-global metrics registry.</p>\n\
-         <table><tr><th>phase</th><th>host &micro;s</th></tr>",
-    );
-    for key in [
-        "fingerprint_us",
-        "cache_probe_us",
-        "simulate_us",
-        "export_us",
-    ] {
-        let v = phases.get(key).and_then(Value::as_u64).unwrap_or(0);
-        let _ = write!(h, "<tr><td>{}</td><td>{v}</td></tr>", &key[..key.len() - 3]);
-    }
-    let _ = writeln!(
-        h,
-        "<tr><td>cells timed</td><td>{}</td></tr></table>",
-        phases
-            .get("cells_timed")
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
+         <p>What the <em>host</em> side of this process did (virtual-time \
+         results are unaffected): the process-global metrics registry.</p>\n",
     );
     for (kind, unit) in [("counters", ""), ("gauges", " (max)")] {
         let Some(map) = metrics_snap.get(kind).and_then(Value::as_object) else {
@@ -273,15 +254,10 @@ fn main() -> ExitCode {
         .with_threads(env_u64("ASAP_THREADS", 2) as u32)
         .with_ops(env_u64("ASAP_OPS", 40))
         .with_telemetry(TelemetrySettings::enabled());
-    // Scoped like a grid cell so the host-profile section has a real
-    // Simulate entry even for this single-run report.
-    let r = {
-        let _t = phase::scope(phase::Phase::Simulate);
-        run(&spec)
-    };
+    let r = run(&spec);
 
     // Validate every export through the in-tree parser before rendering.
-    let validated = (|| -> Result<(Value, Value, Value, Value), String> {
+    let validated = (|| -> Result<(Value, Value, Value), String> {
         validate_roundtrip("stats", &r.stats.to_json())?;
         let ts = validate_roundtrip("timeseries", r.timeseries.as_deref().unwrap_or("null"))?;
         let lc = validate_roundtrip("lifecycle", r.lifecycle.as_deref().unwrap_or("null"))?;
@@ -289,11 +265,10 @@ fn main() -> ExitCode {
             "telemetry object",
             &r.telemetry_json().ok_or("telemetry object missing")?,
         )?;
-        let phases = validate_roundtrip("phases", &phase::snapshot_json())?;
         let snap = validate_roundtrip("metrics", &metrics::snapshot_json())?;
-        Ok((ts, lc, phases, snap))
+        Ok((ts, lc, snap))
     })();
-    let (ts, lc, phases, snap) = match validated {
+    let (ts, lc, snap) = match validated {
         Ok(v) => v,
         Err(e) => {
             eprintln!("run_report: export validation FAILED: {e}");
@@ -301,7 +276,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let html = match build_report(&r, &ts, &lc, &phases, &snap) {
+    let html = match build_report(&r, &ts, &lc, &snap) {
         Ok(html) => html,
         Err(e) => {
             eprintln!("run_report: {e}");
@@ -317,7 +292,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "run_report: validated stats/timeseries/lifecycle/phases/metrics exports; \
+        "run_report: validated stats/timeseries/lifecycle/metrics exports; \
          wrote {out} ({} bytes)",
         html.len()
     );
