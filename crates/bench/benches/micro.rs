@@ -369,26 +369,46 @@ fn bench_sweep() {
             region(&mut m, i);
         }
     });
-    // Walk: refresh the crashed copy from the live machine, then recover
-    // it (the copy is built once, then refreshed in place).
+    // Walk: as between two points of a sweep, the live machine runs a
+    // region, then the crashed copy is refreshed from it and recovered,
+    // and gives its allocator share back. Each refresh re-points the
+    // pages either side rewrote, and the live machine's region copies on
+    // write the pages the copy still holds (the copy is built once, then
+    // refreshed in place).
     let mut copy = None;
+    let fork = |m: &mut Machine, copy: &mut Option<Machine>| {
+        let c = m.crash_copy(copy);
+        black_box(c.recover());
+        let hw = c.hw_mut();
+        hw.heap.release();
+        hw.dram_heap.release();
+    };
+    let mut i = 63;
     bench_with("sweep_crash_copy_small", 20, 200, || {
-        black_box(m.crash_copy(&mut copy).recover());
+        i += 1;
+        region(&mut m, i);
+        fork(&mut m, &mut copy);
     });
     // The same on the Table 2 system (18 cores, 2 running), whose cache
     // lines and tag chunks a refresh leaves out.
     let mut t2 = Machine::new(MachineConfig::new(SchemeKind::Asap, 2));
     let a = t2.pm_alloc(64 * 64).unwrap();
-    for i in 0..64u64 {
-        t2.run_thread((i % 2) as usize, |ctx| {
+    let region = |m: &mut Machine, i: u64| {
+        m.run_thread((i % 2) as usize, |ctx| {
             ctx.begin_region();
             ctx.write_u64(a.offset(i % 64 * 64), i);
             ctx.end_region();
         });
+    };
+    for i in 0..64u64 {
+        region(&mut t2, i);
     }
     let mut copy = None;
+    let mut i = 63;
     bench_with("sweep_crash_copy_table2", 20, 200, || {
-        black_box(t2.crash_copy(&mut copy).recover());
+        i += 1;
+        region(&mut t2, i);
+        fork(&mut t2, &mut copy);
     });
 
     // Send-snapshot fork dispatch: hand a snapshot to a worker thread

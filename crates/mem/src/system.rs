@@ -381,6 +381,14 @@ impl MemSystem {
         }
     }
 
+    /// Whether no persist op is live on any channel — on the wire,
+    /// queued behind a full WPQ, or resting in a WPQ — so
+    /// [`read_for_fill`](Self::read_for_fill) forwards nothing and every
+    /// line reads as the image holds it.
+    pub fn forwards_nothing(&self) -> bool {
+        self.channels.iter().all(|c| c.by_line.is_empty())
+    }
+
     /// Advances internal channel state to `now`, applying media writes to
     /// `image` and queueing [`MemEvent`]s for [`pop_event`](Self::pop_event).
     pub fn advance_to(&mut self, now: Cycle, image: &mut MemoryImage) {

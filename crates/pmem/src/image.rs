@@ -382,7 +382,9 @@ impl MemoryImage {
     /// A copy-on-write snapshot of the image: O(touched pages) pointer
     /// copies that bump each page's refcount, not a byte copy. Writes to
     /// either image after the snapshot deep-copy only the page being
-    /// written (counted in [`ImageStats::cow_copies`]).
+    /// written (counted in [`ImageStats::cow_copies`]). Refreshing the
+    /// snapshot later with `clone_from` re-points only the pages that
+    /// differ (see the [`Clone`] impl).
     pub fn snapshot(&self) -> MemoryImage {
         self.clone()
     }
@@ -399,8 +401,12 @@ impl MemoryImage {
 }
 
 /// `clone` is the snapshot primitive (pointer-table copy, refcount bumps);
-/// `clone_from` additionally reuses the destination's page table and index
-/// buffers, which is what makes repeated restore-into-scratch forks cheap.
+/// `clone_from` reuses the destination's page table and index buffers and
+/// re-points only the page slots whose page differs from the source's, so
+/// refreshing a copy from the image it was cloned from costs one pointer
+/// compare per page plus a refcount pair per page either side rewrote.
+/// The price of keeping the copy's pages: until the next refresh, the
+/// source copies on write any page the copy still holds.
 /// Neither copies the access statistics: a clone starts at zero and
 /// `clone_from` keeps the destination's, so each image counts only the
 /// lookups and copy-on-write faults it performed itself.
@@ -415,7 +421,14 @@ impl Clone for MemoryImage {
     }
 
     fn clone_from(&mut self, src: &Self) {
-        self.pages.clone_from(&src.pages);
+        self.pages.truncate(src.pages.len());
+        let kept = self.pages.len();
+        for (dst, page) in self.pages.iter_mut().zip(&src.pages) {
+            if !Arc::ptr_eq(dst, page) {
+                *dst = Arc::clone(page);
+            }
+        }
+        self.pages.extend_from_slice(&src.pages[kept..]);
         self.index.clone_from(&src.index);
         self.last.set(src.last.get());
     }
@@ -720,6 +733,59 @@ mod tests {
         assert_eq!(m.read_u64(PmAddr(0)), 1);
     }
 
+    /// The page slots of `m` as `(pointer, refcount)`.
+    fn page_slots(m: &MemoryImage) -> Vec<(*const Page, usize)> {
+        m.pages
+            .iter()
+            .map(|p| (Arc::as_ptr(p), Arc::strong_count(p)))
+            .collect()
+    }
+
+    #[test]
+    fn clone_from_repoints_only_changed_pages() {
+        let mut live = MemoryImage::new();
+        for p in 0..6u64 {
+            live.write_u64(PmAddr(p * PAGE_BYTES), p + 1);
+        }
+        let mut copy = live.clone();
+        // The copy writes two pages of its own: both stop sharing.
+        copy.write_u64(PmAddr(PAGE_BYTES), 70);
+        copy.write_u64(PmAddr(4 * PAGE_BYTES), 80);
+        // A refresh from the unchanged source re-points just those two,
+        // and a second one touches no pointer and no refcount.
+        copy.clone_from(&live);
+        assert_eq!(page_slots(&copy), page_slots(&live));
+        let (live_before, copy_before) = (page_slots(&live), page_slots(&copy));
+        copy.clone_from(&live);
+        assert_eq!(page_slots(&live), live_before);
+        assert_eq!(page_slots(&copy), copy_before);
+        // The source rewrites one page (copying it on write, since the
+        // copy holds it) and touches a new one: the refresh re-points the
+        // rewritten page, appends the new one and keeps every other
+        // pointer.
+        live.write_u64(PmAddr(2 * PAGE_BYTES), 99);
+        live.write_u64(PmAddr(9 * PAGE_BYTES), 100);
+        assert_ne!(page_slots(&live)[2].0, copy_before[2].0);
+        copy.clone_from(&live);
+        let after = page_slots(&copy);
+        assert_eq!(after.len(), 7);
+        for (i, (&(ptr, _), &(live_ptr, rc))) in after.iter().zip(&page_slots(&live)).enumerate() {
+            assert_eq!(ptr, live_ptr, "slot {i} points at the source's page");
+            assert_eq!(rc, 2, "slot {i} is shared by exactly the pair");
+            if i != 2 && i < 6 {
+                assert_eq!(ptr, copy_before[i].0, "unchanged slot {i} kept its pointer");
+            }
+        }
+        assert_eq!(copy.read_u64(PmAddr(2 * PAGE_BYTES)), 99);
+        assert_eq!(copy.read_u64(PmAddr(9 * PAGE_BYTES)), 100);
+        assert_eq!(copy.read_u64(PmAddr(PAGE_BYTES)), 2);
+        // Refreshing from a smaller image drops the extra slots.
+        copy.clone_from(&MemoryImage::new());
+        assert_eq!(copy.touched_pages(), 0);
+        assert_eq!(copy.read_u64(PmAddr(0)), 0);
+        assert_eq!(live.shared_pages(), 0);
+    }
+
     /// An eager-deep-copy model of the image: every snapshot duplicates
     /// all bytes and bits up front. The CoW implementation must be
     /// observationally identical to this through any interleaving.
@@ -766,6 +832,7 @@ mod tests {
         Mark { target: u8, addr: u64, len: u64 },
         Snapshot { target: u8 },
         DropFork { which: u8 },
+        Refresh { dst: u8, src: u8 },
     }
 
     fn cow_op() -> impl Strategy<Value = CowOp> {
@@ -777,13 +844,14 @@ mod tests {
                 .prop_map(|(target, addr, len)| CowOp::Mark { target, addr, len }),
             2 => any::<u8>().prop_map(|target| CowOp::Snapshot { target }),
             2 => any::<u8>().prop_map(|which| CowOp::DropFork { which }),
+            2 => (any::<u8>(), any::<u8>()).prop_map(|(dst, src)| CowOp::Refresh { dst, src }),
         ]
     }
 
     proptest! {
         /// CoW image vs eager-deep-copy oracle through arbitrary
-        /// interleavings of writes, snapshots, forks-of-forks, and fork
-        /// drops: byte contents and persistent bits must stay identical on
+        /// interleavings of writes, snapshots, forks-of-forks, refreshes
+        /// of one image from another, and fork drops: byte contents and persistent bits must stay identical on
         /// every live image, and once every fork is gone the base image
         /// must own all its pages exclusively again (no leaked sharing).
         #[test]
@@ -817,6 +885,15 @@ mod tests {
                             let i = 1 + which as usize % (cows.len() - 1);
                             cows.remove(i);
                             oracles.remove(i);
+                        }
+                    }
+                    CowOp::Refresh { dst, src } => {
+                        let (d, s) = (dst as usize % cows.len(), src as usize % cows.len());
+                        if d != s {
+                            let src_img = std::mem::take(&mut cows[s]);
+                            cows[d].clone_from(&src_img);
+                            cows[s] = src_img;
+                            oracles[d] = oracles[s].clone();
                         }
                     }
                 }

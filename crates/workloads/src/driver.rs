@@ -628,9 +628,13 @@ fn walk(
             RunOutcome::Crashed,
             &sh.marks,
         );
-        // Drop the copy's pages now: while it shares them, the live
-        // machine's next write to each would copy it first.
-        c.hw_mut().image.reset();
+        // Give the allocator maps back: while the copy shares them, the
+        // live machine's next alloc or free would copy them first. The
+        // copy keeps its image pages, so the next refresh re-points only
+        // the pages either side rewrote.
+        let hw = c.hw_mut();
+        hw.heap.release();
+        hw.dram_heap.release();
         for &i in &idxs[first + 1..next] {
             let mut ri = r.clone();
             ri.spec = fspec(i);
