@@ -118,25 +118,27 @@ cargo --offline fmt --manifest-path benchmark/Cargo.toml --check
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 cargo test --release -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> full-scale crash goldens (crash_matrix and sweep_table2 at both golden seeds)"
-# Every planned fork of the two crash workloads at full scale: 4,608 +
-# 1,152 per seed, each crashed, recovered, verified and its digest
-# checked against benchmark/golden/. The tier-1 sweep tests run a few
-# hundred forks at 20 ops. A run passes only if it exits 0 and reports
-# "correct":true.
+echo "==> full-scale benchmark goldens (all four workloads at both golden seeds)"
+# Every cell and every planned fork of the four benchmark workloads at
+# full scale, each digest checked against benchmark/golden/: Fig. 7's 90
+# cells at 200 ops per thread (the memory event queue's deepest traffic)
+# and Fig. 10's 72 slow-PM cells at 600, where tests/golden/ runs its
+# grids at 10 ops; and 4,608 + 1,152 crash forks per seed, each crashed,
+# recovered and verified, where the tier-1 sweep tests run a few hundred
+# at 20 ops. A run passes only if it exits 0 and reports "correct":true.
 for seed in 0xA5A5_0001 0x5EED0002; do
-  for w in crash_matrix sweep_table2; do
-    out="target/crash_golden_${w}_${seed}.out"
+  for w in fig7_cold slow_pm crash_matrix sweep_table2; do
+    out="target/bench_golden_${w}_${seed}.out"
     cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
       --workload "$w" --seed "$seed" --seconds 1 >"$out" \
-      || { echo "CRASH GOLDEN FAILURE: $w at seed $seed exited non-zero" >&2; \
+      || { echo "BENCHMARK GOLDEN FAILURE: $w at seed $seed exited non-zero" >&2; \
            tail -5 "$out" >&2; exit 1; }
     grep -q '"correct":true' "$out" \
-      || { echo "CRASH GOLDEN FAILURE: $w at seed $seed is not correct" >&2; \
+      || { echo "BENCHMARK GOLDEN FAILURE: $w at seed $seed is not correct" >&2; \
            tail -5 "$out" >&2; exit 1; }
   done
 done
-echo "    every fork at both seeds matched its golden"
+echo "    every cell and fork at both seeds matched its golden"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

@@ -52,9 +52,9 @@ fn bench_with(name: &str, warmup: u64, iters: u64, mut f: impl FnMut()) {
 }
 
 fn bench_events() {
-    // Rolling near-future window: the common simulator shape (a handful of
-    // in-flight events per channel, popped in time order). Stays within
-    // warmed calendar buckets, so the loop is allocation-free.
+    // Rolling near-future window with 0–2 events pending, popped in time
+    // order. Stays within the warmed heap and slab, so the loop is
+    // allocation-free.
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut t = 0u64;
     bench("event_queue_push_pop", || {
@@ -65,8 +65,8 @@ fn bench_events() {
         black_box(q.pop());
     });
 
-    // Same-cycle burst: every event of a batch lands in one bucket and
-    // must pop in insertion order (FIFO within a cycle).
+    // Same-cycle burst: every event of a batch shares one cycle and must
+    // pop in insertion order (FIFO within a cycle).
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut t = 0u64;
     bench("event_queue_burst_fifo", || {
@@ -75,6 +75,30 @@ fn bench_events() {
             q.push(Cycle(t), i);
         }
         while q.pop().is_some() {}
+    });
+
+    // Near the depth real queues run at: the benchmark's `fig7_cold` holds
+    // 89 events pending on average at each push and `slow_pm` 57
+    // (DESIGN.md §3). 128 near-future events stay pending; each iteration
+    // pushes one 16–4111 cycles out and pops the earliest. Payloads are
+    // 144 bytes, the size of `MemSystem`'s `(channel, ChEvent)` events, so
+    // moving one costs what it costs in the simulator (with `u64`
+    // payloads the ranking of queue designs can flip).
+    let mut q: EventQueue<[u64; 18]> = EventQueue::new();
+    let mut t = 0u64;
+    let mut push_next = |q: &mut EventQueue<[u64; 18]>| {
+        t += 13;
+        q.push(
+            Cycle(t + 16 + t.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 4096),
+            [t; 18],
+        );
+    };
+    for _ in 0..128 {
+        push_next(&mut q);
+    }
+    bench("event_queue_depth_128", || {
+        push_next(&mut q);
+        black_box(q.pop());
     });
 }
 

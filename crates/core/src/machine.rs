@@ -189,7 +189,7 @@ pub enum StepOutcome {
 }
 
 /// A frozen deep copy of a [`Machine`]'s complete state — hardware
-/// (caches, WPQs, event wheels, PM image via copy-on-write pages, logs,
+/// (caches, WPQs, event queue, PM image via copy-on-write pages, logs,
 /// stats, traces), scheme state, thread clocks, locks and region
 /// bookkeeping.
 ///

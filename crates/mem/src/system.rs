@@ -235,8 +235,8 @@ impl Channel {
 pub struct MemSystem {
     cfg: MemConfig,
     channels: Vec<Channel>,
-    /// Every channel's pending internal events on one calendar wheel, each
-    /// tagged with the channel that handles it.
+    /// Every channel's pending internal events on one queue, each tagged
+    /// with the channel that handles it.
     events: EventQueue<(u32, ChEvent)>,
     out: VecDeque<MemEvent>,
     next_id: u64,
@@ -248,8 +248,8 @@ pub struct MemSystem {
 }
 
 /// Snapshot support: a clone carries every piece of simulation state —
-/// channels (WPQ, pending, forward index + node arenas), the calendar
-/// wheel, the out queue, stats, trace, and hot-line counts — bit-exactly.
+/// channels (WPQ, pending, forward index + node arenas), the event
+/// queue, the out queue, stats, trace, and hot-line counts — bit-exactly.
 impl Clone for MemSystem {
     fn clone(&self) -> Self {
         MemSystem {
@@ -588,18 +588,6 @@ impl MemSystem {
             .map(|c| c.fwd_nodes.len() as u64)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Sparse-tail full scans performed by the channel event calendar
-    /// (see [`EventQueue::full_scans`]).
-    pub fn calendar_full_scans(&self) -> u64 {
-        self.events.full_scans()
-    }
-
-    /// Returns [`calendar_full_scans`](Self::calendar_full_scans) and
-    /// zeroes it.
-    pub fn take_calendar_full_scans(&self) -> u64 {
-        self.events.take_full_scans()
     }
 
     /// Counts DRAM traffic for a dirty non-PM writeback (fire-and-forget:

@@ -1,12 +1,13 @@
 //! Steady-state hot paths perform no heap allocation.
 //!
 //! The data-oriented core (slab-arena cache store, inline SoA tag sets,
-//! calendar event queue, slab-allocated WPQ forward index) exists so the
-//! per-access/per-op simulator loop never touches the allocator once its
-//! arenas are warm, and so restoring a cache snapshot reuses the live
-//! hierarchy's buffers. This binary installs a counting global allocator and
-//! drives each structure through a warm-up phase followed by a measured
-//! steady-state phase that must allocate exactly zero times.
+//! event heap over a payload slab, slab-allocated WPQ forward index)
+//! exists so the per-access/per-op simulator loop never touches the
+//! allocator once its arenas are warm, and so restoring a cache snapshot
+//! or an event queue reuses the destination's buffers. This binary
+//! installs a counting global allocator and drives each structure through
+//! a warm-up phase followed by a measured steady-state phase that must
+//! allocate exactly zero times.
 //!
 //! The whole file is one `#[test]` on purpose: the counter is a process
 //! global, and a single test keeps other tests' allocations out of the
@@ -63,9 +64,9 @@ fn dpo(line: LineAddr, v: u8) -> PersistOp {
 fn steady_state_hot_paths_do_not_allocate() {
     let cfg = SystemConfig::small();
 
-    // --- EventQueue: push/pop churn within warmed bucket capacity. The
-    // first pass sizes the bucket vectors; the identical second pass must
-    // run entirely out of that capacity.
+    // --- EventQueue: push/pop churn within the warmed heap, slab and free
+    // list. The first pass sizes them; the identical second pass must run
+    // entirely out of that capacity.
     let mut q: EventQueue<u64> = EventQueue::new();
     let churn_queue = |q: &mut EventQueue<u64>| {
         for round in 0..64u64 {
@@ -77,7 +78,21 @@ fn steady_state_hot_paths_do_not_allocate() {
     };
     churn_queue(&mut q);
     let n = allocs_in(|| churn_queue(&mut q));
-    assert_eq!(n, 0, "calendar queue steady state must not allocate");
+    assert_eq!(n, 0, "event queue steady state must not allocate");
+
+    // --- EventQueue restore: `clone_from` a churned queue with events
+    // pending into the warmed one, as a crash sweep refreshes its copy of
+    // the machine. It overwrites the heap, slab and free list in place.
+    let mut src: EventQueue<u64> = EventQueue::new();
+    churn_queue(&mut src);
+    for i in 0..128u64 {
+        src.push(Cycle(i * 37 % 500), i);
+    }
+    for _ in 0..32 {
+        src.pop();
+    }
+    let n = allocs_in(|| q.clone_from(&src));
+    assert_eq!(n, 0, "event queue restore must not allocate");
 
     // --- Cache hierarchy: hits and capacity-eviction churn over a warmed
     // slab (evicted lines recycle their slots through the freelist).
@@ -133,11 +148,10 @@ fn steady_state_hot_paths_do_not_allocate() {
     }
 
     // --- MemSystem: WPQ submit/drain churn over a warmed channel (the
-    // forward-index nodes recycle through the channel freelist). The
-    // round stride is a multiple of the calendar's bucket ring
-    // (64-cycle buckets × 256 slots = 16384 cycles) so every round lands
-    // on the same bucket slots with the same occupancy — the warm-up
-    // pass then sizes exactly the per-slot capacity the measured pass
+    // forward-index nodes recycle through the channel freelist). Every
+    // round has the same shape — 32 submits 50 cycles apart, then an
+    // advance far enough to drain them all — so the warm-up pass sizes
+    // exactly the event-queue and channel capacity the measured pass
     // reuses.
     let mut mem = MemSystem::new(&cfg);
     let mut image = MemoryImage::new();
@@ -148,7 +162,7 @@ fn steady_state_hot_paths_do_not_allocate() {
                 mem.submit(dpo(pm_line(i % 16), round as u8), Cycle(t));
                 t += 50;
             }
-            t += 14_784; // 32 × 50 + 14_784 = 16_384, one full bucket ring
+            t += 14_784;
             mem.advance_to(Cycle(t), image);
             while mem.pop_event().is_some() {}
         }

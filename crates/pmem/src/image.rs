@@ -34,8 +34,7 @@ const EMPTY: u64 = u64::MAX;
 
 /// An open-addressed (linear-probe) map from page number to the page's slot
 /// in the backing `Vec<Page>`. Supports insert and lookup only — the image
-/// never frees individual pages (only [`MemoryImage::reset`] clears it),
-/// so no tombstones are needed.
+/// never frees a page, so no tombstones are needed.
 struct PageIndex {
     keys: Vec<u64>,
     slots: Vec<u32>,
@@ -137,11 +136,6 @@ impl PageIndex {
             self.slots[i] = s;
         }
     }
-
-    fn clear(&mut self) {
-        self.keys.fill(EMPTY);
-        self.len = 0;
-    }
 }
 
 /// Byte-accurate main-memory contents with per-page persistent bits.
@@ -173,7 +167,7 @@ pub struct MemoryImage {
     pages: Vec<Arc<Page>>,
     index: PageIndex,
     /// Last page looked up, as `(page_no, slot)` — hit on nearly every
-    /// sequential access. Invalidated by [`reset`](Self::reset).
+    /// sequential access.
     last: Cell<(u64, u32)>,
     /// Hot-path access statistics (plain `Cell`s, not atomics — each
     /// image belongs to one simulation). Never printed by figures;
@@ -359,8 +353,8 @@ impl MemoryImage {
 
     /// Access statistics since this image was created, cloned or last
     /// drained by [`take_access_stats`](Self::take_access_stats). They
-    /// survive [`reset`](Self::reset) and
-    /// [`clone_from`](Clone::clone_from), like the image's identity does.
+    /// survive [`clone_from`](Clone::clone_from), like the image's
+    /// identity does.
     pub fn access_stats(&self) -> ImageStats {
         self.stats.get()
     }
@@ -369,14 +363,6 @@ impl MemoryImage {
     /// of the same image adds nothing.
     pub fn take_access_stats(&self) -> ImageStats {
         self.stats.take()
-    }
-
-    /// Forgets every page — contents and persistent bits — returning the
-    /// image to the all-zero state, and invalidates the last-page cache.
-    pub fn reset(&mut self) {
-        self.pages.clear();
-        self.index.clear();
-        self.last.set((EMPTY, 0));
     }
 
     /// A copy-on-write snapshot of the image: O(touched pages) pointer
@@ -482,10 +468,6 @@ mod tests {
         assert!(st.last_page_hits >= 1);
         assert!(st.index_probes >= 1);
         assert!(st.last_page_hits < st.lookups);
-        // Stats are cumulative across reset (the image identity survives).
-        m.reset();
-        m.write(PmAddr(0), &[1]);
-        assert!(m.access_stats().lookups > st.lookups);
     }
 
     #[test]
@@ -567,24 +549,6 @@ mod tests {
             let untouched = LineAddr((i * 3 + 1) * lines_per_page);
             assert_eq!(m.read_line(untouched), [0u8; 64]);
         }
-    }
-
-    #[test]
-    fn reset_clears_contents_bits_and_last_page_cache() {
-        let mut m = MemoryImage::new();
-        m.write_u64(PmAddr(40), 7);
-        m.mark_persistent(PmAddr(40), 8);
-        // Warm the last-page cache on page 0 via a read.
-        assert_eq!(m.read_u64(PmAddr(40)), 7);
-        m.reset();
-        assert_eq!(m.touched_pages(), 0);
-        // A stale cache entry would resurrect the old page here.
-        assert_eq!(m.read_u64(PmAddr(40)), 0);
-        assert!(!m.is_persistent(PmAddr(40)));
-        // The image is fully usable again after reset.
-        m.write_u64(PmAddr(40), 9);
-        assert_eq!(m.read_u64(PmAddr(40)), 9);
-        assert_eq!(m.touched_pages(), 1);
     }
 
     #[test]

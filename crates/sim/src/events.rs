@@ -1,36 +1,17 @@
 //! A stable min-priority event queue keyed by [`Cycle`].
 //!
-//! Implemented as a bucketed *calendar queue* (the classic discrete-event
-//! simulator structure, cf. gem5's event queue): pending events live in a
-//! wheel of power-of-two cycle buckets and pop in `(time, insertion-seq)`
-//! order, exactly like the comparison-based `BinaryHeap` this replaced.
-//! Almost all simulator events are scheduled within a few thousand cycles
-//! of "now" (DRAM/PM latencies, WPQ residency timers), so a pop usually
-//! touches a single small bucket instead of rebalancing a heap, and the
-//! bucket vectors are recycled so steady-state traffic performs no heap
-//! allocation. A `tests`-side proptest holds the calendar to bit-exact
-//! pop-order equivalence against the original heap.
+//! A `std` binary heap of `(time, insertion-seq, slot)` keys over a payload
+//! slab. Events pop in `(time, insertion-seq)` order; `seq` is unique, so
+//! the slot only names where the payload is stored and never decides the
+//! order. The heap moves 24-byte keys instead of whole payloads, and both
+//! the heap and the slab (with its free list of slots) keep their
+//! capacity, so steady-state traffic performs no heap allocation. A
+//! `tests`-side proptest holds the queue to a linear-scan oracle.
 
-use std::cell::Cell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::clock::Cycle;
-
-/// log2 of the bucket width in cycles: events within the same 64-cycle
-/// window share a bucket.
-const BUCKET_SHIFT: u32 = 6;
-/// Number of wheel slots (power of two). The wheel spans
-/// `SLOTS << BUCKET_SHIFT` = 16384 cycles per revolution, comfortably
-/// beyond every latency and residency timer in `SystemConfig`.
-const SLOTS: usize = 256;
-const SLOT_MASK: u64 = (SLOTS as u64) - 1;
-
-/// One scheduled entry: time, tie-break sequence number, payload.
-#[derive(Clone)]
-struct Entry<E> {
-    at: Cycle,
-    seq: u64,
-    payload: E,
-}
 
 /// A deterministic min-priority queue of timestamped events.
 ///
@@ -50,76 +31,44 @@ struct Entry<E> {
 /// assert_eq!(order, ['z', 'x', 'y']);
 /// ```
 pub struct EventQueue<E> {
-    /// Wheel slots; an event at `at` lives in slot
-    /// `(at >> BUCKET_SHIFT) & SLOT_MASK`. Entries from different wheel
-    /// revolutions can share a slot; the absolute bucket number
-    /// (`at >> BUCKET_SHIFT`) disambiguates.
-    buckets: Vec<Vec<Entry<E>>>,
-    len: usize,
+    /// Min-heap of `(at, seq, slot)` keys, one per pending event.
+    heap: BinaryHeap<Reverse<(Cycle, u64, u32)>>,
+    /// Payloads by slot; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slots of `slab`, reused before it grows.
+    free: Vec<u32>,
     next_seq: u64,
-    /// Absolute bucket number at or before the earliest pending event.
-    /// Memoized across `peek_time` calls (hence `Cell`): skipping empty
-    /// buckets is amortized instead of repeated per query. Purely a
-    /// search hint — it never affects which event pops next.
-    cursor: Cell<u64>,
-    /// Location `(slot, index, at, seq)` of the current minimum, found by
-    /// the last [`Self::find_min`]. A pop invalidates it; a push *updates*
-    /// it (appends never move existing entries, so the memoized index
-    /// stays valid and only an earlier key can displace the minimum) —
-    /// the common schedule-later-work push keeps the memo warm.
-    cached_min: Cell<Option<(u32, u32, Cycle, u64)>>,
-    /// One bit per wheel slot, set while the slot's bucket is non-empty.
-    /// Lets [`Self::find_min`] skip runs of empty slots with word scans
-    /// instead of walking them slot by slot.
-    occ: [u64; SLOTS / 64],
-    /// How many times [`Self::find_min`] fell back to the sparse-tail
-    /// full scan (every pending event more than one wheel revolution
-    /// away). A plain `Cell` — never on stdout, taken into the host
-    /// metrics registry (`sim.calendar.full_scans`) after a run. It counts
-    /// this queue's own scans: a clone starts at zero and `clone_from`
-    /// leaves it alone.
-    full_scans: Cell<u64>,
 }
 
-/// A clone copies every pending event and search hint but not the
-/// host-side `full_scans` counter (see the field); `clone_from` reuses the
-/// destination's bucket buffers.
+/// `clone_from` reuses the destination's heap, slab and free-list buffers
+/// (a derived `clone_from` would reallocate all three), which keeps
+/// repeated restores into the same scratch machine allocation-free.
 impl<E: Clone> Clone for EventQueue<E> {
     fn clone(&self) -> Self {
         EventQueue {
-            buckets: self.buckets.clone(),
-            len: self.len,
+            heap: self.heap.clone(),
+            slab: self.slab.clone(),
+            free: self.free.clone(),
             next_seq: self.next_seq,
-            cursor: self.cursor.clone(),
-            cached_min: self.cached_min.clone(),
-            occ: self.occ,
-            full_scans: Cell::new(0),
         }
     }
 
     fn clone_from(&mut self, src: &Self) {
-        self.buckets.clone_from(&src.buckets);
-        self.len = src.len;
+        self.heap.clone_from(&src.heap);
+        self.slab.clone_from(&src.slab);
+        self.free.clone_from(&src.free);
         self.next_seq = src.next_seq;
-        self.cursor.set(src.cursor.get());
-        self.cached_min.set(src.cached_min.get());
-        self.occ = src.occ;
     }
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        let mut buckets = Vec::with_capacity(SLOTS);
-        buckets.resize_with(SLOTS, Vec::new);
         EventQueue {
-            buckets,
-            len: 0,
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
-            cursor: Cell::new(0),
-            cached_min: Cell::new(None),
-            occ: [0; SLOTS / 64],
-            full_scans: Cell::new(0),
         }
     }
 
@@ -127,137 +76,27 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: Cycle, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let abs = at.0 >> BUCKET_SHIFT;
-        if self.len == 0 || abs < self.cursor.get() {
-            self.cursor.set(abs);
-        }
-        let slot = (abs & SLOT_MASK) as usize;
-        // Keep the memoized minimum warm: appends never move existing
-        // entries, so the cached `(slot, index)` stays valid and only a
-        // strictly earlier key displaces it. (When there is no memo we
-        // leave it unset rather than pay a scan here.)
-        if let Some((_, _, cat, cseq)) = self.cached_min.get() {
-            if (at, seq) < (cat, cseq) {
-                self.cached_min.set(Some((
-                    slot as u32,
-                    self.buckets[slot].len() as u32,
-                    at,
-                    seq,
-                )));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(payload);
+                slot
             }
-        } else if self.len == 0 {
-            self.cached_min.set(Some((slot as u32, 0, at, seq)));
-        }
-        self.occ[slot >> 6] |= 1 << (slot & 63);
-        self.buckets[slot].push(Entry { at, seq, payload });
-        self.len += 1;
-    }
-
-    /// Ring-offset (distance from `start_slot`) of the first non-empty
-    /// slot at offset `from` or later, scanning the occupancy words.
-    #[inline]
-    fn next_occupied(&self, from: usize, start_slot: usize) -> Option<usize> {
-        let mut off = from;
-        while off < SLOTS {
-            let slot = (start_slot + off) & (SLOTS - 1);
-            let (word, bit) = (slot >> 6, slot & 63);
-            // Consecutive ring offsets stay in this word only up to its
-            // top bit; clamp so a wrap re-enters the loop cleanly.
-            let span = (64 - bit).min(SLOTS - off);
-            let mask = if span == 64 {
-                !0u64
-            } else {
-                ((1u64 << span) - 1) << bit
-            };
-            let hits = self.occ[word] & mask;
-            if hits != 0 {
-                return Some(off + (hits.trailing_zeros() as usize - bit));
+            None => {
+                self.slab.push(Some(payload));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
             }
-            off += span;
-        }
-        None
-    }
-
-    /// Locates the earliest `(at, seq)` entry, returning `(slot, index,
-    /// at, seq)`. Scans absolute buckets forward from the cursor; if a
-    /// full wheel revolution finds nothing (every pending event is far in
-    /// the future), falls back to one linear scan and re-aims the cursor.
-    #[inline]
-    fn find_min(&self) -> Option<(u32, u32, Cycle, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(hit) = self.cached_min.get() {
-            return Some(hit);
-        }
-        self.find_min_scan()
-    }
-
-    /// The cold half of [`find_min`](Self::find_min): the occupancy-bit
-    /// scan that runs when nothing is memoized. Kept out-of-line so the
-    /// memo-hit fast path above stays cheap to inline at every peek/pop
-    /// call site.
-    #[inline(never)]
-    fn find_min_scan(&self) -> Option<(u32, u32, Cycle, u64)> {
-        let start = self.cursor.get();
-        let start_slot = (start & SLOT_MASK) as usize;
-        let mut off = 0usize;
-        // Word-scan the occupancy bits from the cursor: only non-empty
-        // slots are visited, in absolute-bucket order.
-        while let Some(o) = self.next_occupied(off, start_slot) {
-            let abs = start + o as u64;
-            let slot = (start_slot + o) & (SLOTS - 1);
-            let mut best: Option<(u32, u64, Cycle)> = None;
-            for (i, e) in self.buckets[slot].iter().enumerate() {
-                if e.at.0 >> BUCKET_SHIFT == abs
-                    && best.is_none_or(|(_, seq, at)| (e.at, e.seq) < (at, seq))
-                {
-                    best = Some((i as u32, e.seq, e.at));
-                }
-            }
-            if let Some((i, seq, at)) = best {
-                self.cursor.set(abs);
-                let hit = (slot as u32, i, at, seq);
-                self.cached_min.set(Some(hit));
-                return Some(hit);
-            }
-            off = o + 1;
-        }
-        // Sparse tail: nothing within one revolution of the cursor. Scan
-        // every occupied slot once for the global `(at, seq)` minimum.
-        self.full_scans.set(self.full_scans.get() + 1);
-        let mut best: Option<(u32, u32, u64, Cycle)> = None;
-        for (w, &bits) in self.occ.iter().enumerate() {
-            let mut b = bits;
-            while b != 0 {
-                let slot = w * 64 + b.trailing_zeros() as usize;
-                b &= b - 1;
-                for (i, e) in self.buckets[slot].iter().enumerate() {
-                    if best.is_none_or(|(_, _, seq, at)| (e.at, e.seq) < (at, seq)) {
-                        best = Some((slot as u32, i as u32, e.seq, e.at));
-                    }
-                }
-            }
-        }
-        let (slot, i, seq, at) = best.expect("len > 0 implies an entry exists");
-        self.cursor.set(at.0 >> BUCKET_SHIFT);
-        let hit = (slot, i, at, seq);
-        self.cached_min.set(Some(hit));
-        Some(hit)
+        };
+        self.heap.push(Reverse((at, seq, slot)));
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let (slot, i, _, _) = self.find_min()?;
-        self.cached_min.set(None);
-        // Within a bucket the minimum is chosen by `(at, seq)`, so the
-        // in-vector order left behind by `swap_remove` is irrelevant.
-        let e = self.buckets[slot as usize].swap_remove(i as usize);
-        if self.buckets[slot as usize].is_empty() {
-            self.occ[(slot >> 6) as usize] &= !(1 << (slot & 63));
-        }
-        self.len -= 1;
-        Some((e.at, e.payload))
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        let payload = self.slab[slot as usize]
+            .take()
+            .expect("a pending key's slot holds its payload");
+        self.free.push(slot);
+        Some((at, payload))
     }
 
     /// Removes the earliest event only if it fires at or before `deadline`.
@@ -273,30 +112,17 @@ impl<E> EventQueue<E> {
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.find_min().map(|(_, _, at, _)| at)
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// How many [`pop`](Self::pop)/[`peek_time`](Self::peek_time) calls
-    /// fell back to the full linear scan because every pending event was
-    /// beyond one wheel revolution. A persistently high rate means the
-    /// wheel geometry no longer matches the workload's event horizon.
-    pub fn full_scans(&self) -> u64 {
-        self.full_scans.get()
-    }
-
-    /// Returns [`full_scans`](Self::full_scans) and zeroes it.
-    pub fn take_full_scans(&self) -> u64 {
-        self.full_scans.take()
+        self.heap.is_empty()
     }
 }
 
@@ -309,7 +135,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("pending", &self.len)
+            .field("pending", &self.len())
             .field("next_at", &self.peek_time())
             .finish()
     }
@@ -378,134 +204,71 @@ mod tests {
         assert!(format!("{q:?}").contains("EventQueue"));
     }
 
-    /// Events scheduled more than a full wheel revolution ahead (and a mix
-    /// of near/far pushes landing in the *same* wheel slot from different
-    /// revolutions) must still pop in global time order.
+    /// Events orders of magnitude apart, pushed out of time order, pop in
+    /// global time order.
     #[test]
     fn far_future_events_pop_in_order() {
-        let span = (SLOTS as u64) << BUCKET_SHIFT;
         let mut q = EventQueue::new();
-        q.push(Cycle(7 * span + 3), 'd');
-        q.push(Cycle(3), 'a'); // same slot as 'd', seven revolutions earlier
-        q.push(Cycle(2 * span), 'b');
-        q.push(Cycle(5 * span + 1), 'c');
+        q.push(Cycle(u64::MAX / 2), 'd');
+        q.push(Cycle(3), 'a');
+        q.push(Cycle(1 << 15), 'b');
+        q.push(Cycle(1 << 40), 'c');
         assert_eq!(q.peek_time(), Some(Cycle(3)));
         assert_eq!(q.pop(), Some((Cycle(3), 'a')));
-        assert_eq!(q.pop(), Some((Cycle(2 * span), 'b')));
-        assert_eq!(q.pop(), Some((Cycle(5 * span + 1), 'c')));
-        assert_eq!(q.pop(), Some((Cycle(7 * span + 3), 'd')));
+        assert_eq!(q.pop(), Some((Cycle(1 << 15), 'b')));
+        assert_eq!(q.pop(), Some((Cycle(1 << 40), 'c')));
+        assert_eq!(q.pop(), Some((Cycle(u64::MAX / 2), 'd')));
         assert_eq!(q.pop(), None);
     }
 
-    /// The sparse-tail fallback is counted (and only the fallback — dense
-    /// near-term traffic never touches it).
+    /// An event pushed earlier than the one `peek_time` just reported
+    /// becomes the next to pop.
     #[test]
-    fn full_scans_counts_sparse_tail_only() {
-        let span = (SLOTS as u64) << BUCKET_SHIFT;
-        let mut q = EventQueue::new();
-        q.push(Cycle(1), 'a');
-        q.push(Cycle(9 * span), 'b');
-        // Dense near-term traffic: no fallback.
-        assert_eq!(q.pop(), Some((Cycle(1), 'a')));
-        assert_eq!(q.full_scans(), 0);
-        // The survivor is nine revolutions past the cursor (a push into
-        // an *empty* queue would re-aim the cursor directly, so the far
-        // event must coexist with the near one): one full scan finds it.
-        assert_eq!(q.pop(), Some((Cycle(9 * span), 'b')));
-        assert!(q.full_scans() >= 1);
-        // The counter is the queue's own: a clone starts at zero, and
-        // taking it drains it.
-        assert_eq!(q.clone().full_scans(), 0);
-        assert!(q.take_full_scans() >= 1);
-        assert_eq!(q.full_scans(), 0);
-    }
-
-    /// Pushing an earlier event after the cursor has advanced past its
-    /// bucket must rewind the cursor (the memoization is a hint only).
-    #[test]
-    fn push_into_past_rewinds_cursor() {
+    fn push_before_peeked_event_pops_first() {
         let mut q = EventQueue::new();
         q.push(Cycle(10_000), 'z');
         assert_eq!(q.peek_time(), Some(Cycle(10_000)));
         q.push(Cycle(1), 'a');
+        assert_eq!(q.peek_time(), Some(Cycle(1)));
         assert_eq!(q.pop(), Some((Cycle(1), 'a')));
         assert_eq!(q.pop(), Some((Cycle(10_000), 'z')));
     }
 
-    /// The original heap-based queue, kept as the ordering oracle for the
-    /// equivalence proptest below.
-    mod reference {
-        use super::Cycle;
-        use std::cmp::Ordering;
-        use std::collections::BinaryHeap;
+    mod prop {
+        use super::{Cycle, EventQueue};
+        use proptest::prelude::*;
 
-        struct Entry<E> {
-            at: Cycle,
-            seq: u64,
-            payload: E,
-        }
-
-        impl<E> PartialEq for Entry<E> {
-            fn eq(&self, other: &Self) -> bool {
-                self.at == other.at && self.seq == other.seq
-            }
-        }
-
-        impl<E> Eq for Entry<E> {}
-
-        impl<E> PartialOrd for Entry<E> {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        impl<E> Ord for Entry<E> {
-            fn cmp(&self, other: &Self) -> Ordering {
-                other
-                    .at
-                    .cmp(&self.at)
-                    .then_with(|| other.seq.cmp(&self.seq))
-            }
-        }
-
-        pub struct HeapQueue<E> {
-            heap: BinaryHeap<Entry<E>>,
+        /// The ordering oracle: pending `(at, seq, payload)` triples in a
+        /// `Vec`, each pop taking the least `(at, seq)` by linear scan.
+        #[derive(Default)]
+        struct Oracle {
+            pending: Vec<(Cycle, u64, u32)>,
             next_seq: u64,
         }
 
-        impl<E> HeapQueue<E> {
-            pub fn new() -> Self {
-                HeapQueue {
-                    heap: BinaryHeap::new(),
-                    next_seq: 0,
-                }
-            }
-
-            pub fn push(&mut self, at: Cycle, payload: E) {
-                let seq = self.next_seq;
+        impl Oracle {
+            fn push(&mut self, at: Cycle, payload: u32) {
+                self.pending.push((at, self.next_seq, payload));
                 self.next_seq += 1;
-                self.heap.push(Entry { at, seq, payload });
             }
 
-            pub fn pop(&mut self) -> Option<(Cycle, E)> {
-                self.heap.pop().map(|e| (e.at, e.payload))
+            fn min(&self) -> Option<usize> {
+                (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
             }
 
-            #[inline]
-            pub fn peek_time(&self) -> Option<Cycle> {
-                self.heap.peek().map(|e| e.at)
+            fn peek_time(&self) -> Option<Cycle> {
+                self.min().map(|i| self.pending[i].0)
             }
 
-            pub fn len(&self) -> usize {
-                self.heap.len()
+            fn pop(&mut self) -> Option<(Cycle, u32)> {
+                let (at, _, payload) = self.pending.swap_remove(self.min()?);
+                Some((at, payload))
             }
         }
-    }
 
-    mod prop {
-        use super::reference::HeapQueue;
-        use super::{Cycle, EventQueue, BUCKET_SHIFT, SLOTS};
-        use proptest::prelude::*;
+        /// At most this many copies are driven at once; a new fork
+        /// replaces the newest when the limit is reached.
+        const MAX_COPIES: usize = 4;
 
         #[derive(Clone, Debug)]
         enum Op {
@@ -516,16 +279,26 @@ mod tests {
             Burst(u64, u8),
             Pop,
             PopUntil(u64),
+            /// Fork the first copy with `clone`; every later op drives
+            /// the fork too.
+            Clone,
+            /// Churn a new queue off-trace (this many pushes from this
+            /// cycle on, then pops of half of them), then `clone_from`
+            /// the first copy into it; every later op drives it too.
+            CloneFrom(u64, u8),
         }
 
         fn cycle_strategy() -> impl Strategy<Value = u64> {
-            let span = (SLOTS as u64) << BUCKET_SHIFT;
             prop_oneof![
+                // Four shared cycles past the dense band: events there
+                // stay pending while nearer ones pop, so later pushes tie
+                // with them and the insertion-seq tie-break decides.
+                1 => 6_000u64..6_004,
                 // Dense near-term traffic, the simulator's common case.
                 4 => 0u64..5_000,
-                // Beyond one wheel revolution.
-                2 => 0u64..20 * span,
-                // Pathologically far future (sparse-tail fallback path).
+                // Mid-range horizons.
+                2 => 0u64..1 << 19,
+                // Pathologically far future.
                 1 => 0u64..u64::MAX / 2,
             ]
         }
@@ -536,55 +309,86 @@ mod tests {
                 1 => (cycle_strategy(), 2u8..6).prop_map(|(c, n)| Op::Burst(c, n)),
                 3 => Just(Op::Pop),
                 1 => cycle_strategy().prop_map(Op::PopUntil),
+                1 => Just(Op::Clone),
+                1 => (cycle_strategy(), 0u8..40).prop_map(|(c, n)| Op::CloneFrom(c, n)),
             ]
         }
 
         proptest! {
             #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-            /// The calendar queue and the original binary heap must emit
-            /// identical `(cycle, payload)` sequences — and agree on
-            /// `peek_time`/`len` — under arbitrary interleaved traffic.
+            /// Every copy of the queue emits the oracle's `(cycle, payload)`
+            /// sequence, and agrees on `peek_time`/`len`, under arbitrary
+            /// interleaved traffic with forks by `clone` and `clone_from`
+            /// taken mid-trace.
             #[test]
-            fn calendar_matches_heap(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-                let mut cal = EventQueue::new();
-                let mut heap = HeapQueue::new();
+            fn queue_matches_linear_scan_oracle(
+                ops in proptest::collection::vec(op_strategy(), 1..200),
+            ) {
+                let mut copies = vec![EventQueue::new()];
+                let mut oracle = Oracle::default();
                 let mut payload = 0u32;
                 for op in &ops {
                     match *op {
                         Op::Push(at) => {
-                            cal.push(Cycle(at), payload);
-                            heap.push(Cycle(at), payload);
+                            copies.iter_mut().for_each(|q| q.push(Cycle(at), payload));
+                            oracle.push(Cycle(at), payload);
                             payload += 1;
                         }
                         Op::Burst(at, n) => {
                             for _ in 0..n {
-                                cal.push(Cycle(at), payload);
-                                heap.push(Cycle(at), payload);
+                                copies.iter_mut().for_each(|q| q.push(Cycle(at), payload));
+                                oracle.push(Cycle(at), payload);
                                 payload += 1;
                             }
                         }
                         Op::Pop => {
-                            prop_assert_eq!(cal.pop(), heap.pop());
+                            let expect = oracle.pop();
+                            for q in &mut copies {
+                                prop_assert_eq!(q.pop(), expect);
+                            }
                         }
                         Op::PopUntil(deadline) => {
-                            // Oracle semantics: pop only if due by deadline.
-                            let expect = match heap.peek_time() {
-                                Some(t) if t <= Cycle(deadline) => heap.pop(),
+                            let expect = match oracle.peek_time() {
+                                Some(t) if t <= Cycle(deadline) => oracle.pop(),
                                 _ => None,
                             };
-                            prop_assert_eq!(cal.pop_until(Cycle(deadline)), expect);
+                            for q in &mut copies {
+                                prop_assert_eq!(q.pop_until(Cycle(deadline)), expect);
+                            }
+                        }
+                        Op::Clone => {
+                            let fork = copies[0].clone();
+                            copies.truncate(MAX_COPIES - 1);
+                            copies.push(fork);
+                        }
+                        Op::CloneFrom(at, n) => {
+                            let mut spare = EventQueue::new();
+                            for i in 0..u64::from(n) {
+                                spare.push(Cycle(at + i * 97), u32::MAX);
+                            }
+                            for _ in 0..n / 2 {
+                                spare.pop();
+                            }
+                            spare.clone_from(&copies[0]);
+                            copies.truncate(MAX_COPIES - 1);
+                            copies.push(spare);
                         }
                     }
-                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
-                    prop_assert_eq!(cal.len(), heap.len());
+                    for q in &copies {
+                        prop_assert_eq!(q.peek_time(), oracle.peek_time());
+                        prop_assert_eq!(q.len(), oracle.pending.len());
+                    }
                 }
                 // Drain: the full remaining order must match exactly.
-                while let Some(got) = cal.pop() {
-                    prop_assert_eq!(Some(got), heap.pop());
+                while let Some(expect) = oracle.pop() {
+                    for q in &mut copies {
+                        prop_assert_eq!(q.pop(), Some(expect));
+                    }
                 }
-                prop_assert_eq!(heap.pop(), None);
-                prop_assert!(cal.is_empty());
+                for q in &copies {
+                    prop_assert!(q.is_empty());
+                }
             }
         }
     }

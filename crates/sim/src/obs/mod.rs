@@ -9,8 +9,8 @@
 //! - [`metrics`] — a process-global registry of named counters and
 //!   gauges with cheap atomic updates and a JSON snapshot. The run
 //!   cache, the figure worker pool, the crash-sweep engine and the
-//!   simulator's host-side data structures (page index, calendar wheel,
-//!   store-forward slab) all publish here.
+//!   simulator's host-side data structures (page index, store-forward
+//!   slab) all publish here.
 //! - [`log`] — the [`note!`](crate::obs_note) / [`warn!`](crate::obs_warn)
 //!   stderr helpers, which step around the `ASAP_PROGRESS` status line.
 //!

@@ -904,9 +904,9 @@ pub fn enumerate_crash_points(spec: &WorkloadSpec, budget: usize) -> CrashPlan {
 }
 
 /// Publishes the run's host-side data-structure statistics — page-index
-/// and last-page-cache traffic, calendar-wheel scan fallbacks, the
-/// store-forward slab high-water mark — to the process-global
-/// observability registry ([`asap_sim::obs::metrics`]). These observe
+/// and last-page-cache traffic and the store-forward slab high-water
+/// mark — to the process-global observability registry
+/// ([`asap_sim::obs::metrics`]). These observe
 /// the *host implementation*, never the simulated machine: figures and
 /// cached results don't depend on them, which is why a cache-served cell
 /// legitimately contributes nothing here. The counters are plain `Cell`
@@ -924,7 +924,6 @@ fn flush_host_metrics(m: &Machine) {
     metrics::counter("pmem.image.last_page_hits").add(img.last_page_hits);
     metrics::counter("pmem.image.index_probes").add(img.index_probes);
     metrics::counter("pmem.image.cow_copies").add(img.cow_copies);
-    metrics::counter("sim.calendar.full_scans").add(m.hw().mem.take_calendar_full_scans());
     metrics::gauge("mem.fwd_slab.hwm").set_max(m.hw().mem.fwd_slab_hwm());
     // Telemetry sampler health: whether long runs are still sampling at
     // useful resolution. The period doubles on every decimation, so a
@@ -1159,7 +1158,6 @@ mod tests {
             m.hw().image.access_stats(),
             asap_pmem::ImageStats::default()
         );
-        assert_eq!(m.hw().mem.calendar_full_scans(), 0);
     }
 
     #[test]

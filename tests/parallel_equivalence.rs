@@ -52,7 +52,7 @@ fn grid() -> Vec<WorkloadSpec> {
             .with_ops(25)
             .with_telemetry(TelemetrySettings::enabled()),
     );
-    // A crash cell: power failure drains the calendar event queue, ADR
+    // A crash cell: power failure drains the memory event queue, ADR
     // flushes the WPQ, and the cache slab / forward-index arenas reset —
     // recovery must replay identically on every harness thread.
     specs.push(
@@ -63,8 +63,8 @@ fn grid() -> Vec<WorkloadSpec> {
             .with_crash_after(40),
     );
     // A residency-delayed WPQ: `DrainCheck` events land thousands of
-    // cycles out, exercising the calendar wheel's far-future revolution
-    // handling inside a real workload.
+    // cycles out, so the event queue holds near and far events at once
+    // inside a real workload.
     let mut delayed = asap_sim::SystemConfig::table2();
     delayed.mem.wpq_residency = 4096;
     specs.push(
