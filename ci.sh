@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline CI gate: build, test, format, lint. Run from the repo root.
+# Offline CI gate: build, test, format, lint, docs. Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -145,5 +145,8 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (intra-doc links resolve)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "CI OK"

@@ -1,6 +1,7 @@
-//! Microbenchmarks of the simulator substrates: cache hierarchy access, WPQ
-//! submit/drain, log-record encode/decode, Dependence List broadcast, bloom
-//! filter probes, spec fingerprinting, run-cache disk hits/inserts, and an
+//! Microbenchmarks of the simulator substrates: event queue, cache hierarchy
+//! access, WPQ submit/drain, log-record encode/decode, Dependence List
+//! broadcast, bloom filter probes, spec fingerprinting, run-cache disk
+//! hits/inserts, machine construction, snapshots and sweeps, and an
 //! end-to-end small transaction.
 //!
 //! Plain `fn main` harness (no criterion — the build environment is offline):
@@ -52,27 +53,32 @@ fn bench_with(name: &str, warmup: u64, iters: u64, mut f: impl FnMut()) {
 }
 
 fn bench_events() {
+    // Every queue here carries 144-byte payloads, the size of
+    // `MemSystem`'s `(channel, ChEvent)` events, so moving one costs what
+    // it costs in the simulator: with `u64` payloads the ranking of queue
+    // designs can flip against the one the workloads show.
+
     // Rolling near-future window with 0–2 events pending, popped in time
     // order. Stays within the warmed heap and slab, so the loop is
     // allocation-free.
-    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut q: EventQueue<[u64; 18]> = EventQueue::new();
     let mut t = 0u64;
     bench("event_queue_push_pop", || {
         t += 13;
-        q.push(Cycle(t + 16), t);
-        q.push(Cycle(t + 900), t + 1);
+        q.push(Cycle(t + 16), [t; 18]);
+        q.push(Cycle(t + 900), [t + 1; 18]);
         black_box(q.pop());
         black_box(q.pop());
     });
 
     // Same-cycle burst: every event of a batch shares one cycle and must
     // pop in insertion order (FIFO within a cycle).
-    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut q: EventQueue<[u64; 18]> = EventQueue::new();
     let mut t = 0u64;
     bench("event_queue_burst_fifo", || {
         t += 1;
         for i in 0..8u64 {
-            q.push(Cycle(t), i);
+            q.push(Cycle(t), [i; 18]);
         }
         while q.pop().is_some() {}
     });
@@ -80,10 +86,7 @@ fn bench_events() {
     // Near the depth real queues run at: the benchmark's `fig7_cold` holds
     // 89 events pending on average at each push and `slow_pm` 57
     // (DESIGN.md §3). 128 near-future events stay pending; each iteration
-    // pushes one 16–4111 cycles out and pops the earliest. Payloads are
-    // 144 bytes, the size of `MemSystem`'s `(channel, ChEvent)` events, so
-    // moving one costs what it costs in the simulator (with `u64`
-    // payloads the ranking of queue designs can flip).
+    // pushes one 16–4111 cycles out and pops the earliest.
     let mut q: EventQueue<[u64; 18]> = EventQueue::new();
     let mut t = 0u64;
     let mut push_next = |q: &mut EventQueue<[u64; 18]>| {
@@ -293,6 +296,15 @@ fn bench_runcache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn bench_machine_new() {
+    // One `fig7_cold` cell's construction: a 4-thread Table 2 machine
+    // (1 MB dump area and 4 x 4 MB log buffers marked persistent) built
+    // and dropped.
+    bench_with("machine_new_table2", 5, 20, || {
+        black_box(Machine::new(MachineConfig::new(SchemeKind::Asap, 4)));
+    });
+}
+
 fn bench_snapshot() {
     // CoW image snapshot: a refcounted pointer-table copy whose cost is
     // O(touched pages), not O(bytes) — 512 pages here.
@@ -477,6 +489,7 @@ fn main() {
     bench_bloom();
     bench_fingerprint();
     bench_runcache();
+    bench_machine_new();
     bench_snapshot();
     bench_sweep();
     bench_transaction();

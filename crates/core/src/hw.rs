@@ -6,8 +6,8 @@ use asap_mem::{
 };
 use asap_pmem::{LineAddr, MemoryImage, PmAddr, RangeAllocator, LINE_BYTES, PM_BASE};
 use asap_sim::{
-    Cycle, StallClass, StallReason, Stats, SystemConfig, TelemetrySettings, TimeSeries, Trace,
-    TraceEvent, TraceSettings,
+    Counter, Cycle, StallClass, StallReason, StatSlots, SystemConfig, TelemetrySettings,
+    TimeSeries, Trace, TraceEvent, TraceSettings,
 };
 
 use crate::lifecycle::RegionLog;
@@ -75,7 +75,7 @@ pub struct Hw {
     /// Volatile DRAM heap.
     pub dram_heap: RangeAllocator,
     /// Machine-level statistics.
-    pub stats: Stats,
+    pub stats: StatSlots,
     /// CPU-side event trace (regions, stalls, persist issues). Disabled by
     /// default; see [`Hw::set_trace_settings`].
     pub trace: Trace,
@@ -121,7 +121,7 @@ impl Hw {
             image,
             heap,
             dram_heap,
-            stats: Stats::new(),
+            stats: StatSlots::new(),
             trace: Trace::disabled(),
             thread_core: (0..threads as usize).collect(),
             stall_acc: vec![[0u64; 4]; threads as usize],
@@ -217,10 +217,10 @@ impl Hw {
         let class = reason.class();
         self.stall_acc[thread][class.index()] += cycles;
         let counter = match class {
-            StallClass::LogFull => "machine.stall_cycles.log_full",
-            StallClass::WpqBackpressure => "machine.stall_cycles.wpq_backpressure",
-            StallClass::DependencyWait => "machine.stall_cycles.dependency_wait",
-            StallClass::CommitWait => "machine.stall_cycles.commit_wait",
+            StallClass::LogFull => Counter::StallCyclesLogFull,
+            StallClass::WpqBackpressure => Counter::StallCyclesWpqBackpressure,
+            StallClass::DependencyWait => Counter::StallCyclesDependencyWait,
+            StallClass::CommitWait => Counter::StallCyclesCommitWait,
         };
         self.stats.add(counter, cycles);
         if self.trace.enabled() {

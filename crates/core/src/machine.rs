@@ -45,8 +45,8 @@ use asap_mem::cache::AccessKind;
 use asap_mem::Rid;
 use asap_pmem::{AllocError, LineAddr, PmAddr, LINE_BYTES};
 use asap_sim::{
-    chrome_trace_json, Cycle, StallClass, Stats, SystemConfig, TelemetrySettings, ThreadClocks,
-    TimeSeries, Trace, TraceEvent, TracePart, TraceSettings, VirtualLock,
+    chrome_trace_json, Counter, Cycle, Dist, StallClass, Stats, SystemConfig, TelemetrySettings,
+    ThreadClocks, TimeSeries, Trace, TraceEvent, TracePart, TraceSettings, VirtualLock,
 };
 
 use crate::hw::Hw;
@@ -659,8 +659,9 @@ impl Machine {
     }
 
     /// Persistent-line writes performed so far (the crash-injection
-    /// coordinate: [`arm_crash_after_additional`]
-    /// (Self::arm_crash_after_additional) counts from this value).
+    /// coordinate:
+    /// [`arm_crash_after_additional`](Self::arm_crash_after_additional)
+    /// counts from this value).
     pub fn pm_write_ops(&self) -> u64 {
         self.pm_write_ops
     }
@@ -717,7 +718,7 @@ impl Machine {
 
     fn perform_crash(&mut self) {
         assert!(!self.crashed, "already crashed");
-        self.hw.stats.bump("crash.count");
+        self.hw.stats.bump(Counter::CrashCount);
         self.hw
             .trace
             .emit(self.clocks.makespan(), 0, TraceEvent::CrashInjected);
@@ -776,7 +777,7 @@ impl Machine {
     pub fn drain(&mut self) -> Cycle {
         let now = self.clocks.makespan();
         let end = self.scheme.drain(&mut self.hw, now);
-        self.hw.stats.add("run.drain_cycles", end - now);
+        self.hw.stats.add(Counter::RunDrainCycles, end - now);
         end
     }
 
@@ -792,7 +793,7 @@ impl Machine {
         let now = self.scheme.on_context_switch(&mut self.hw, t, now);
         self.hw.thread_core[t] = core;
         self.clocks.advance(t, now);
-        self.hw.stats.bump("machine.context_switch");
+        self.hw.stats.bump(Counter::MachineContextSwitch);
     }
 
     /// Architectural read of a `u64` (debug/verification — no timing).
@@ -828,12 +829,17 @@ impl Machine {
     /// Merged machine + memory-system statistics, with the cache
     /// hierarchy's eviction counters folded in as `machine.evict.*`.
     pub fn stats(&self) -> Stats {
-        let mut s = self.hw.stats.clone();
-        s.merge(self.hw.mem.stats());
+        let mut s = Stats::new();
+        self.hw.stats.export_into(&mut s);
+        self.hw.mem.stats().export_into(&mut s);
         let ev = self.hw.caches.eviction_counts();
-        s.add("machine.evict.total", ev.total);
-        s.add("machine.evict.forced", ev.forced);
-        s.add("machine.evict.dirty", ev.dirty);
+        for (id, v) in [
+            (Counter::EvictTotal, ev.total),
+            (Counter::EvictForced, ev.forced),
+            (Counter::EvictDirty, ev.dirty),
+        ] {
+            s.add(id.name(), v);
+        }
         s
     }
 
@@ -898,7 +904,7 @@ impl Machine {
 
     /// Total 64-byte writes that reached the PM media.
     pub fn pm_write_traffic(&self) -> u64 {
-        self.hw.mem.stats().get("pm.write.total")
+        self.hw.mem.stats().get(Counter::PmWriteTotal)
     }
 
     /// The machine's configuration.
@@ -974,7 +980,7 @@ impl ThreadCtx<'_> {
     /// Marks one workload transaction as complete (throughput metric).
     pub fn complete_tx(&mut self) {
         self.m.tx_count += 1;
-        self.m.hw.stats.bump("tx.completed");
+        self.m.hw.stats.bump(Counter::TxCompleted);
     }
 
     /// `asap_begin`: starts (or nests into) an atomic region.
@@ -989,7 +995,7 @@ impl ThreadCtx<'_> {
         let rid = Rid::new(t as u32, self.m.local_rid[t]);
         self.m.cur_rid[t] = Some(rid);
         self.m.region_start[t] = self.now;
-        self.m.hw.stats.bump("region.begun");
+        self.m.hw.stats.bump(Counter::RegionBegun);
         self.m.hw.reset_region_stalls(t);
         self.m.hw.trace.emit(
             self.now,
@@ -1036,8 +1042,8 @@ impl ThreadCtx<'_> {
         }
         if let Some(tr) = &mut m.tracker {
             let (lines, deps) = tr.end(rid);
-            m.hw.stats.sample("region.lines_written", lines as u64);
-            m.hw.stats.sample("region.deps", deps as u64);
+            m.hw.stats.sample(Dist::RegionLinesWritten, lines as u64);
+            m.hw.stats.sample(Dist::RegionDeps, deps as u64);
         }
         m.hw.trace.emit(
             self.now,
@@ -1052,18 +1058,18 @@ impl ThreadCtx<'_> {
         let stalls = m.hw.take_region_stalls(t);
         let stalled: u64 = stalls.iter().sum();
         for class in StallClass::all() {
-            let name = match class {
-                StallClass::LogFull => "region.stall.log_full",
-                StallClass::WpqBackpressure => "region.stall.wpq_backpressure",
-                StallClass::DependencyWait => "region.stall.dependency_wait",
-                StallClass::CommitWait => "region.stall.commit_wait",
+            let id = match class {
+                StallClass::LogFull => Dist::RegionStallLogFull,
+                StallClass::WpqBackpressure => Dist::RegionStallWpqBackpressure,
+                StallClass::DependencyWait => Dist::RegionStallDependencyWait,
+                StallClass::CommitWait => Dist::RegionStallCommitWait,
             };
-            m.hw.stats.sample(name, stalls[class.index()]);
+            m.hw.stats.sample(id, stalls[class.index()]);
         }
         m.hw.stats
-            .sample("region.compute", dur.saturating_sub(stalled));
-        m.hw.stats.sample("region.cycles", dur);
-        m.hw.stats.bump("region.count");
+            .sample(Dist::RegionCompute, dur.saturating_sub(stalled));
+        m.hw.stats.sample(Dist::RegionCycles, dur);
+        m.hw.stats.bump(Counter::RegionCount);
     }
 
     /// `asap_fence` (§5.2): blocks until this thread's last region (and
@@ -1213,7 +1219,7 @@ impl ThreadCtx<'_> {
                 }
             }
         } else if persistent && kind == AccessKind::Store {
-            m.hw.stats.bump("machine.nonregion_pm_write");
+            m.hw.stats.bump(Counter::MachineNonregionPmWrite);
         }
         (persistent, hooked)
     }
@@ -1620,9 +1626,12 @@ mod tests {
     /// `debug_read` of one `u64` and how many store-forwarded reads it
     /// counted.
     fn read_counting_forwards(m: &mut Machine, a: PmAddr) -> (u64, u64) {
-        let before = m.hw().mem.stats().get("mem.read.forwarded");
+        let before = m.hw().mem.stats().get(Counter::MemReadForwarded);
         let v = m.debug_read_u64(a);
-        (v, m.hw().mem.stats().get("mem.read.forwarded") - before)
+        (
+            v,
+            m.hw().mem.stats().get(Counter::MemReadForwarded) - before,
+        )
     }
 
     #[test]

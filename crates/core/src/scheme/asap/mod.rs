@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use asap_mem::{BloomFilter, Evicted, MemEvent, OpId, PersistKind, Rid};
 use asap_pmem::LineAddr;
-use asap_sim::{Cycle, StallReason, SystemConfig, TraceEvent};
+use asap_sim::{Counter, Cycle, StallReason, SystemConfig, TraceEvent};
 
 use crate::hw::Hw;
 use crate::logbuf::{LogBuffer, RecordHeader};
@@ -139,17 +139,17 @@ impl Asap {
         if !self.blooms[self.line_channel(line)].may_contain(line) {
             return;
         }
-        hw.stats.bump("asap.owner_buffer_lookup");
+        hw.stats.bump(Counter::AsapOwnerBufferLookup);
         match self.evicted_owners.get(&line) {
             Some(&o) if self.deps.contains(o) => {
                 hw.caches.line_mut(line).expect("present").owner = Some(o);
-                hw.stats.bump("asap.owner_restored");
+                hw.stats.bump(Counter::AsapOwnerRestored);
             }
             Some(_) => {
                 self.evicted_owners.remove(&line);
             }
             None => {
-                hw.stats.bump("asap.bloom_false_positive");
+                hw.stats.bump(Counter::AsapBloomFalsePositive);
             }
         }
     }
@@ -269,7 +269,7 @@ impl Asap {
             // NUMA filter, only channels actually holding the dependence
             // receive a message; otherwise every channel does.
             self.deps.remove(r);
-            hw.stats.bump("region.committed");
+            hw.stats.bump(Counter::RegionCommitted);
             hw.trace
                 .emit(at, r.thread(), TraceEvent::RegionPersisted { rid: trid(r) });
             hw.lifecycle.commit(r, at);
@@ -279,7 +279,7 @@ impl Asap {
             } else {
                 u64::from(self.num_channels)
             };
-            hw.stats.add("asap.broadcast.messages", messages);
+            hw.stats.add(Counter::AsapBroadcastMessages, messages);
             for u in unblocked {
                 stack.push(u);
             }
@@ -360,7 +360,7 @@ impl Asap {
     ) -> (asap_pmem::PmAddr, Cycle) {
         let mut now = now;
         if !self.threads[&thread].log.can_alloc() {
-            hw.stats.bump("asap.stall.log_full");
+            hw.stats.bump(Counter::AsapStallLogFull);
             let t0 = now;
             now = wait_mem!(self, hw, now, self.threads[&thread].log.can_alloc());
             hw.note_stall(thread, StallReason::LogFull, t0, now);
@@ -384,7 +384,7 @@ impl Asap {
         if self.lh.get(rid).is_none() {
             // The region's first LPO needs an LH-WPQ slot.
             if !self.lh.has_room(rid) {
-                hw.stats.bump("asap.stall.lh_wpq");
+                hw.stats.bump(Counter::AsapStallLhWpq);
                 let t0 = now;
                 now = wait_mem!(self, hw, now, self.lh.has_room(rid));
                 hw.note_stall(thread, StallReason::LhWpq, t0, now);
@@ -413,7 +413,7 @@ impl Asap {
         );
         self.log_tracker.register(lpo, cur_addr, i, line);
         self.lpo_of.insert(lpo, line);
-        hw.stats.bump("asap.lpo");
+        hw.stats.bump(Counter::AsapLpo);
         hw.trace.emit(
             now,
             thread as u32,
@@ -459,7 +459,7 @@ impl Asap {
                 }
                 AddDep::TargetGone => return now,
                 AddDep::SlotsFull => {
-                    hw.stats.bump("asap.stall.dep_slots");
+                    hw.stats.bump(Counter::AsapStallDepSlots);
                     let cap = self.deps.slot_cap();
                     let t0 = now;
                     now = wait_mem!(self, hw, now, {
@@ -522,13 +522,13 @@ impl Scheme for Asap {
         // Stall while hardware structures are full (earlier regions must
         // drain; their persist completions arrive as memory events).
         if !self.cl.has_free_entry(core) {
-            hw.stats.bump("asap.stall.cl_entries");
+            hw.stats.bump(Counter::AsapStallClEntries);
             let t0 = now;
             now = wait_mem!(self, hw, now, self.cl.has_free_entry(core));
             hw.note_stall(thread, StallReason::ClEntries, t0, now);
         }
         if !self.deps.has_free_entry(rid) {
-            hw.stats.bump("asap.stall.dep_entries");
+            hw.stats.bump(Counter::AsapStallDepEntries);
             let t0 = now;
             now = wait_mem!(self, hw, now, self.deps.has_free_entry(rid));
             hw.note_stall(thread, StallReason::DepEntries, t0, now);
@@ -573,7 +573,7 @@ impl Scheme for Asap {
             .line(line)
             .is_some_and(|st| st.lock_bit && st.owner != Some(rid));
         if locked_by_other {
-            hw.stats.bump("asap.stall.lpo_lock");
+            hw.stats.bump(Counter::AsapStallLpoLock);
             let t0 = now;
             now = wait_mem!(self, hw, now, {
                 hw.caches.line(line).is_none_or(|st| !st.lock_bit)
@@ -610,7 +610,7 @@ impl Scheme for Asap {
         // was cleared on the old core; recreate it here on the new one.
         if self.cl.entry(core, rid).is_none() {
             if !self.cl.has_free_entry(core) {
-                hw.stats.bump("asap.stall.cl_entries");
+                hw.stats.bump(Counter::AsapStallClEntries);
                 let t0 = now;
                 now = wait_mem!(self, hw, now, self.cl.has_free_entry(core));
                 hw.note_stall(thread, StallReason::ClEntries, t0, now);
@@ -626,7 +626,7 @@ impl Scheme for Asap {
             .is_some_and(|e| e.slot_of(line).is_some());
         if !has_slot {
             if !self.cl.has_free_slot(core, rid) {
-                hw.stats.bump("asap.stall.clptr_slots");
+                hw.stats.bump(Counter::AsapStallClptrSlots);
                 let t0 = now;
                 // Re-kick on every event: a slot whose LPO ack arrives
                 // mid-stall must fire its DPO even if it never reached
@@ -718,7 +718,7 @@ impl Scheme for Asap {
         let Some(rid) = self.threads.get(&thread).and_then(|t| t.latest_rid) else {
             return now;
         };
-        hw.stats.bump("asap.fence");
+        hw.stats.bump(Counter::AsapFence);
         let end = wait_mem!(self, hw, now, !self.deps.contains(rid));
         hw.note_stall(thread, StallReason::FenceWait, now, end);
         end
@@ -732,10 +732,10 @@ impl Scheme for Asap {
                     self.evicted_owners.insert(evicted.line, o);
                     let ch = self.line_channel(evicted.line);
                     self.blooms[ch].insert(evicted.line);
-                    hw.stats.bump("asap.owner_saved");
+                    hw.stats.bump(Counter::AsapOwnerSaved);
                     if evicted.state.lock_bit {
                         // Should be prevented by lock-aware victim choice.
-                        hw.stats.bump("asap.forced_locked_eviction");
+                        hw.stats.bump(Counter::AsapForcedLockedEviction);
                     }
                     // The writeback doubles as the line's DPO: mark the
                     // slot initiated so acceptance clears it.

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use asap_mem::{Evicted, MemEvent, OpId, PersistKind, Rid};
 use asap_pmem::{LineAddr, PmAddr};
-use asap_sim::{Cycle, StallReason};
+use asap_sim::{Counter, Cycle, StallReason};
 
 use crate::hw::Hw;
 use crate::logbuf::{LogBuffer, RecordHeader, MAX_ENTRIES};
@@ -239,7 +239,7 @@ impl HwRedo {
         let st = hw.caches.line_mut(line).expect("line was just filled");
         st.data = data;
         st.dirty = true;
-        hw.stats.bump("redo.redirected_read");
+        hw.stats.bump(Counter::RedoRedirectedRead);
         now + hw.mem.read_latency(line) // extra log lookup in PM
     }
 }
@@ -439,7 +439,7 @@ impl Scheme for HwRedo {
                 pending_dpo.insert(id);
             }
         }
-        hw.stats.bump("region.committed");
+        hw.stats.bump(Counter::RegionCommitted);
         let seq = self.commit_seq;
         self.commit_seq += 1;
         self.outstanding.insert(seq);
@@ -471,7 +471,7 @@ impl Scheme for HwRedo {
             // Uncommitted new value must not reach PM in place: keep it
             // aside; reads are redirected to the log (§2.3).
             self.redirect.insert(evicted.line, evicted.state.data);
-            hw.stats.bump("redo.suppressed_writeback");
+            hw.stats.bump(Counter::RedoSuppressedWriteback);
             return;
         }
         hw.default_evict(evicted, now);

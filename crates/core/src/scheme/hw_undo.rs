@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use asap_mem::{MemEvent, OpId, PersistKind, Rid};
 use asap_pmem::{LineAddr, PmAddr};
-use asap_sim::{Cycle, StallReason};
+use asap_sim::{Counter, Cycle, StallReason};
 
 use crate::hw::Hw;
 use crate::logbuf::{LogBuffer, RecordHeader, MAX_ENTRIES};
@@ -311,7 +311,7 @@ impl Scheme for HwUndo {
         th.log.free_to(region.log_end_tail);
         self.log_tracker.forget_region(rid);
         hw.mem.drop_log_writes_of(rid);
-        hw.stats.bump("region.committed");
+        hw.stats.bump(Counter::RegionCommitted);
         now
     }
 

@@ -18,14 +18,14 @@
 //! The structures are data-oriented for the simulator's per-access hot
 //! path (see DESIGN.md §Memory layout & hot-path engineering):
 //!
-//! - line data lives in a *slab arena* ([`LineSlab`]) indexed by an
+//! - line data lives in a *slab arena* (`LineSlab`) indexed by an
 //!   open-addressed `LineAddr → slot` table (the PR 2 `PageIndex`
 //!   pattern), with a one-entry last-lookup cache;
 //! - every tag way carries its line's slab slot, so a cache hit resolves
 //!   data with **zero** hash probes;
-//! - each [`TagArray`] holds its sets inline (`ways ≤ 16`, found by mask)
-//!   in copy-on-write chunks of [`CHUNK_SETS`] sets, the PM image's
-//!   `Arc<Page>` layout: a snapshot copies chunk pointers, a restore
+//! - each `TagArray` holds its sets inline (`ways ≤ 16`, found by mask)
+//!   in copy-on-write chunks of `CHUNK_SETS` sets, laid out like the PM
+//!   image's `Arc`-shared pages: a snapshot copies chunk pointers, a restore
 //!   re-points the chunks that differ, a crash drops them, and a write
 //!   copies a shared chunk first. An empty chunk is `None`, so a Table 2
 //!   machine allocates tags only for the sets its cores touch;

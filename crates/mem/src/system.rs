@@ -19,7 +19,9 @@
 use std::collections::VecDeque;
 
 use asap_pmem::{AddrMap, LineAddr, MemoryImage};
-use asap_sim::{Cycle, EventQueue, MemConfig, Stats, Trace, TraceEvent, TraceSettings};
+use asap_sim::{
+    Counter, Cycle, Dist, EventQueue, MemConfig, StatSlots, Trace, TraceEvent, TraceSettings,
+};
 
 use crate::persist::{MemEvent, OpId, PersistKind, PersistOp};
 use crate::rid::Rid;
@@ -35,29 +37,27 @@ struct WpqSlot {
     accepted_at: Cycle,
 }
 
-/// Static counter name for a submission of `kind` — the same names
-/// `format!("mem.submit.{}", kind.name())` produced, without a per-op
-/// allocation on the submit hot path.
-fn submit_counter(kind: PersistKind) -> &'static str {
+/// The counter of a submission of `kind` (`mem.submit.<kind>`).
+fn submit_counter(kind: PersistKind) -> Counter {
     match kind {
-        PersistKind::Lpo => "mem.submit.lpo",
-        PersistKind::LogHeader => "mem.submit.log_header",
-        PersistKind::Dpo => "mem.submit.dpo",
-        PersistKind::WriteBack => "mem.submit.writeback",
-        PersistKind::SwPersist => "mem.submit.sw_persist",
-        PersistKind::Marker => "mem.submit.marker",
+        PersistKind::Lpo => Counter::MemSubmitLpo,
+        PersistKind::LogHeader => Counter::MemSubmitLogHeader,
+        PersistKind::Dpo => Counter::MemSubmitDpo,
+        PersistKind::WriteBack => Counter::MemSubmitWriteback,
+        PersistKind::SwPersist => Counter::MemSubmitSwPersist,
+        PersistKind::Marker => Counter::MemSubmitMarker,
     }
 }
 
-/// Static counter name for a media write of `kind` (see [`submit_counter`]).
-fn pm_write_counter(kind: PersistKind) -> &'static str {
+/// The counter of a media write of `kind` (`pm.write.<kind>`).
+fn pm_write_counter(kind: PersistKind) -> Counter {
     match kind {
-        PersistKind::Lpo => "pm.write.lpo",
-        PersistKind::LogHeader => "pm.write.log_header",
-        PersistKind::Dpo => "pm.write.dpo",
-        PersistKind::WriteBack => "pm.write.writeback",
-        PersistKind::SwPersist => "pm.write.sw_persist",
-        PersistKind::Marker => "pm.write.marker",
+        PersistKind::Lpo => Counter::PmWriteLpo,
+        PersistKind::LogHeader => Counter::PmWriteLogHeader,
+        PersistKind::Dpo => Counter::PmWriteDpo,
+        PersistKind::WriteBack => Counter::PmWriteWriteback,
+        PersistKind::SwPersist => Counter::PmWriteSwPersist,
+        PersistKind::Marker => Counter::PmWriteMarker,
     }
 }
 
@@ -240,7 +240,7 @@ pub struct MemSystem {
     events: EventQueue<(u32, ChEvent)>,
     out: VecDeque<MemEvent>,
     next_id: u64,
-    stats: Stats,
+    stats: StatSlots,
     trace: Trace,
     /// PM media writes per line, kept only when telemetry asks for the
     /// hottest-lines table (`None` = tracking off, zero overhead).
@@ -293,7 +293,7 @@ impl MemSystem {
             events: EventQueue::new(),
             out: VecDeque::new(),
             next_id: 0,
-            stats: Stats::new(),
+            stats: StatSlots::new(),
             trace: Trace::disabled(),
             line_writes: None,
         }
@@ -374,7 +374,7 @@ impl MemSystem {
         match newest {
             Some(data) => {
                 let data = *data;
-                self.stats.bump("mem.read.forwarded");
+                self.stats.bump(Counter::MemReadForwarded);
                 (data, pbit)
             }
             None => (image.read_line(line), pbit),
@@ -470,7 +470,7 @@ impl MemSystem {
                 matches!(op.kind, PersistKind::Lpo | PersistKind::LogHeader) && op.rid == Some(rid)
             });
         }
-        self.stats.add("pm.drop.lpo", dropped);
+        self.stats.add(Counter::PmDropLpo, dropped);
         dropped
     }
 
@@ -482,7 +482,7 @@ impl MemSystem {
         let dropped = self.drop_matching(ch_idx, |op| {
             op.kind == PersistKind::Dpo && op.target == line && op.rid != Some(later_region)
         });
-        self.stats.add("pm.drop.dpo", dropped);
+        self.stats.add(Counter::PmDropDpo, dropped);
         dropped
     }
 
@@ -537,10 +537,10 @@ impl MemSystem {
                 .all(|(a, b)| a.seq < b.seq));
             for s in &slots {
                 image.write_line(s.op.target, &s.op.data);
-                self.stats.bump("crash.flushed");
+                self.stats.bump(Counter::CrashFlushed);
             }
             let lost = ch.pending.len() as u64;
-            self.stats.add("crash.lost_unaccepted", lost);
+            self.stats.add(Counter::CrashLostUnaccepted, lost);
             ch.pending.clear();
             ch.writing = None;
             // Every live op either reached the image (WPQ) or was lost
@@ -555,7 +555,7 @@ impl MemSystem {
                 on_the_wire += 1;
             }
         }
-        self.stats.add("crash.lost_unaccepted", on_the_wire);
+        self.stats.add(Counter::CrashLostUnaccepted, on_the_wire);
         self.out.clear();
     }
 
@@ -575,7 +575,7 @@ impl MemSystem {
     }
 
     /// Statistics accumulated by the memory system.
-    pub fn stats(&self) -> &Stats {
+    pub fn stats(&self) -> &StatSlots {
         &self.stats
     }
 
@@ -594,7 +594,7 @@ impl MemSystem {
     /// DRAM writes are not persist operations and skip the WPQ).
     pub fn dram_writeback(&mut self, image: &mut MemoryImage, line: LineAddr, data: &[u8; 64]) {
         image.write_line(line, data);
-        self.stats.bump("dram.write.writeback");
+        self.stats.bump(Counter::DramWriteWriteback);
     }
 }
 
@@ -615,7 +615,7 @@ struct DirectFx<'a> {
     /// `None` only on the drop-refill acceptance path, which never writes
     /// media.
     image: Option<&'a mut MemoryImage>,
-    stats: &'a mut Stats,
+    stats: &'a mut StatSlots,
     hot: Option<&'a mut AddrMap<LineAddr, u64>>,
     trace: &'a mut Trace,
     events: &'a mut EventQueue<(u32, ChEvent)>,
@@ -663,7 +663,7 @@ fn handle_ch(cfg: &MemConfig, ch: &mut Channel, fx: &mut DirectFx<'_>, t: Cycle,
                 accept_ch(cfg, ch, fx, t, id, op, submitted);
             } else {
                 ch.pending.push_back((id, op, submitted));
-                fx.stats.bump("mem.wpq.full_arrival");
+                fx.stats.bump(Counter::MemWpqFullArrival);
             }
             maybe_start_write_ch(cfg, ch, fx, t);
         }
@@ -675,10 +675,10 @@ fn handle_ch(cfg: &MemConfig, ch: &mut Channel, fx: &mut DirectFx<'_>, t: Cycle,
             ch.unindex(slot.op.target, slot.id);
             fx.write_line(slot.op.target, &slot.op.data);
             fx.stats.bump(pm_write_counter(slot.op.kind));
-            fx.stats.bump("pm.write.total");
+            fx.stats.bump(Counter::PmWriteTotal);
             fx.hot_line(slot.op.target);
             let residency = t.since(slot.accepted_at);
-            fx.stats.sample("mem.wpq.residency_cycles", residency);
+            fx.stats.sample(Dist::MemWpqResidencyCycles, residency);
             fx.trace(
                 t,
                 TraceEvent::WpqDrain {
@@ -723,10 +723,10 @@ fn accept_ch(
         seq,
         accepted_at: t,
     });
-    fx.stats.sample("mem.wpq.occupancy", ch.wpq.len() as u64);
+    fx.stats.sample(Dist::MemWpqOccupancy, ch.wpq.len() as u64);
     // Persist latency: submit to persistence-domain acceptance (the
     // durability point under ADR, §4.1).
-    fx.stats.sample("mem.persist.latency", t.since(submitted));
+    fx.stats.sample(Dist::MemPersistLatency, t.since(submitted));
     fx.trace(
         t,
         TraceEvent::WpqAccept {
@@ -839,8 +839,8 @@ mod tests {
         // Full drain accepts and writes everything.
         mem.advance_to(Cycle(100_000), &mut image);
         assert_eq!(mem.wpq_len(0), 0);
-        assert_eq!(mem.stats().get("pm.write.total"), 5);
-        assert_eq!(mem.stats().get("mem.wpq.full_arrival"), 3);
+        assert_eq!(mem.stats().get(Counter::PmWriteTotal), 5);
+        assert_eq!(mem.stats().get(Counter::MemWpqFullArrival), 3);
     }
 
     #[test]
@@ -893,7 +893,7 @@ mod tests {
         mem.advance_to(Cycle(17), &mut image); // accepted, not yet written
         let (data, _) = mem.read_for_fill(pm_line(8), &image);
         assert_eq!(data[0], 2);
-        assert_eq!(mem.stats().get("mem.read.forwarded"), 1);
+        assert_eq!(mem.stats().get(Counter::MemReadForwarded), 1);
     }
 
     #[test]
@@ -930,7 +930,7 @@ mod tests {
         let (data, _) = mem.read_for_fill(pm_line(8), &image);
         assert_eq!(data[0], 4, "data now comes from the image");
         assert_eq!(
-            mem.stats().get("mem.read.forwarded"),
+            mem.stats().get(Counter::MemReadForwarded),
             0,
             "a drained op must leave the store-forward index"
         );
@@ -950,7 +950,7 @@ mod tests {
         assert_eq!(mem.drop_pending_dpo(pm_line(0), r2), 1);
         let (data, _) = mem.read_for_fill(pm_line(0), &image);
         assert_eq!(data[0], 9, "dropped write must not forward; image wins");
-        assert_eq!(mem.stats().get("mem.read.forwarded"), 0);
+        assert_eq!(mem.stats().get(Counter::MemReadForwarded), 0);
     }
 
     #[test]
@@ -970,7 +970,7 @@ mod tests {
         let (a, _) = mem.read_for_fill(pm_line(0), &image);
         let (b, _) = mem.read_for_fill(pm_line(1), &image);
         assert_eq!((a[0], b[0]), (1, 0));
-        assert_eq!(mem.stats().get("mem.read.forwarded"), 0);
+        assert_eq!(mem.stats().get(Counter::MemReadForwarded), 0);
     }
 
     #[test]
@@ -1004,9 +1004,10 @@ mod tests {
         let dropped = mem.drop_log_writes_of(rid);
         assert_eq!(dropped, 2, "both log writes dropped");
         mem.advance_to(Cycle(100_000), &mut image);
-        let log_writes = mem.stats().get("pm.write.lpo") + mem.stats().get("pm.write.log_header");
+        let log_writes =
+            mem.stats().get(Counter::PmWriteLpo) + mem.stats().get(Counter::PmWriteLogHeader);
         assert_eq!(log_writes, 0);
-        assert_eq!(mem.stats().get("pm.write.dpo"), 2); // DPOs untouched
+        assert_eq!(mem.stats().get(Counter::PmWriteDpo), 2); // DPOs untouched
     }
 
     #[test]
@@ -1031,8 +1032,8 @@ mod tests {
             "earlier region's DPO dropped"
         );
         mem.advance_to(Cycle(100_000), &mut image);
-        assert_eq!(mem.stats().get("pm.write.dpo"), 1); // only sacrificial one
-        assert_eq!(mem.stats().get("pm.drop.dpo"), 1);
+        assert_eq!(mem.stats().get(Counter::PmWriteDpo), 1); // only sacrificial one
+        assert_eq!(mem.stats().get(Counter::PmDropDpo), 1);
     }
 
     #[test]
@@ -1053,8 +1054,8 @@ mod tests {
             "accepted entry flushed (ADR)"
         );
         assert_eq!(image.read_line(pm_line(1))[0], 0, "unaccepted entry lost");
-        assert_eq!(mem.stats().get("crash.flushed"), 1);
-        assert_eq!(mem.stats().get("crash.lost_unaccepted"), 1);
+        assert_eq!(mem.stats().get(Counter::CrashFlushed), 1);
+        assert_eq!(mem.stats().get(Counter::CrashLostUnaccepted), 1);
         assert!(mem.is_idle());
     }
 
@@ -1086,11 +1087,15 @@ mod tests {
         mem.submit(dpo(pm_line(0), 1, None), Cycle(0));
         // Long after acceptance but before residency expiry: still queued.
         mem.advance_to(Cycle(400), &mut image);
-        assert_eq!(mem.stats().get("pm.write.total"), 0, "write rests in WPQ");
+        assert_eq!(
+            mem.stats().get(Counter::PmWriteTotal),
+            0,
+            "write rests in WPQ"
+        );
         assert_eq!(mem.wpq_len(mem.channel_of(pm_line(0))), 1);
         // After expiry it drains.
         mem.advance_to(Cycle(10_000), &mut image);
-        assert_eq!(mem.stats().get("pm.write.total"), 1);
+        assert_eq!(mem.stats().get(Counter::PmWriteTotal), 1);
         assert_eq!(image.read_line(pm_line(0))[0], 1);
     }
 
@@ -1109,7 +1114,7 @@ mod tests {
         assert_eq!(mem.drop_log_writes_of(rid), 1, "droppable while resting");
         mem.advance_to(Cycle(10_000), &mut image);
         assert_eq!(
-            mem.stats().get("pm.write.total"),
+            mem.stats().get(Counter::PmWriteTotal),
             0,
             "dropped, never written"
         );
@@ -1130,7 +1135,7 @@ mod tests {
         // Occupancy (4) exceeds the watermark (2): drains without waiting
         // out the residency.
         mem.advance_to(Cycle(5_000), &mut image);
-        assert!(mem.stats().get("pm.write.total") >= 2);
+        assert!(mem.stats().get(Counter::PmWriteTotal) >= 2);
     }
 
     #[test]
@@ -1138,8 +1143,8 @@ mod tests {
         let (mut mem, mut image) = setup();
         mem.dram_writeback(&mut image, LineAddr(5), &[3u8; 64]);
         assert_eq!(image.read_line(LineAddr(5))[0], 3);
-        assert_eq!(mem.stats().get("dram.write.writeback"), 1);
-        assert_eq!(mem.stats().get("pm.write.total"), 0);
+        assert_eq!(mem.stats().get(Counter::DramWriteWriteback), 1);
+        assert_eq!(mem.stats().get(Counter::PmWriteTotal), 0);
     }
 
     #[test]
@@ -1206,9 +1211,9 @@ mod tests {
         for _ in 0..3 {
             let (data, _) = mem.read_for_fill(pm_line(0), &image);
             assert_eq!(data[0], 3, "newest live write forwards");
-            let before = mem.stats().get("pm.write.total");
+            let before = mem.stats().get(Counter::PmWriteTotal);
             let mut t = 16;
-            while mem.stats().get("pm.write.total") == before {
+            while mem.stats().get(Counter::PmWriteTotal) == before {
                 t += 1;
                 mem.advance_to(Cycle(t), &mut image);
                 assert!(t < 1_000_000, "drain must make progress");

@@ -1,10 +1,11 @@
 //! Steady-state hot paths perform no heap allocation.
 //!
 //! The data-oriented core (slab-arena cache store, inline SoA tag sets,
-//! event heap over a payload slab, slab-allocated WPQ forward index)
-//! exists so the per-access/per-op simulator loop never touches the
-//! allocator once its arenas are warm, and so restoring a cache snapshot
-//! or an event queue reuses the destination's buffers. This binary
+//! event heap over a payload slab, slab-allocated WPQ forward index,
+//! fixed-slot statistics) exists so the per-access/per-op simulator loop
+//! never touches the allocator once its arenas are warm, and so restoring
+//! a cache snapshot, an event queue or a statistics registry reuses the
+//! destination's buffers. This binary
 //! installs a counting global allocator and drives each structure through
 //! a warm-up phase followed by a measured steady-state phase that must
 //! allocate exactly zero times.
@@ -19,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use asap_mem::cache::AccessKind;
 use asap_mem::{CacheHierarchy, MemSystem, PersistKind, PersistOp};
 use asap_pmem::{LineAddr, MemoryImage, PM_BASE};
-use asap_sim::{Cycle, EventQueue, SystemConfig};
+use asap_sim::{Counter, Cycle, Dist, EventQueue, StatSlots, SystemConfig};
 
 /// Counts allocations (not bytes) going through the global allocator.
 struct CountingAlloc;
@@ -170,4 +171,26 @@ fn steady_state_hot_paths_do_not_allocate() {
     churn_wpq(&mut mem, &mut image);
     let n = allocs_in(|| churn_wpq(&mut mem, &mut image));
     assert_eq!(n, 0, "WPQ submit/drain steady state must not allocate");
+
+    // --- Statistics restore: `clone_from` a registry into a warmed one,
+    // as each crash-sweep refresh does for the machine's and the memory
+    // system's statistics. The counters are one flat array and every
+    // distribution reuses its bucket buffer.
+    let record = |s: &mut StatSlots, scale: u64| {
+        for (i, id) in Counter::ALL.into_iter().enumerate() {
+            s.add(id, i as u64 * scale);
+        }
+        for id in Dist::ALL {
+            for v in 0..2000u64 {
+                s.sample(id, v * scale);
+            }
+        }
+    };
+    let mut src = StatSlots::new();
+    record(&mut src, 3);
+    let mut dst = src.clone();
+    record(&mut dst, 1);
+    let n = allocs_in(|| dst.clone_from(&src));
+    assert_eq!(n, 0, "statistics restore must not allocate");
+    assert_eq!(dst, src);
 }

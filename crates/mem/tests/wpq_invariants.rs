@@ -8,7 +8,7 @@
 
 use asap_mem::{MemEvent, MemSystem, PersistKind, PersistOp, Rid};
 use asap_pmem::{LineAddr, MemoryImage, PM_BASE};
-use asap_sim::{Cycle, SystemConfig};
+use asap_sim::{Counter, Cycle, SystemConfig};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -95,9 +95,9 @@ proptest! {
         let (written, flushed, lost) = if crash {
             mem.flush_to_image(&mut image);
             (
-                mem.stats().get("pm.write.total"),
-                mem.stats().get("crash.flushed"),
-                mem.stats().get("crash.lost_unaccepted"),
+                mem.stats().get(Counter::PmWriteTotal),
+                mem.stats().get(Counter::CrashFlushed),
+                mem.stats().get(Counter::CrashLostUnaccepted),
             )
         } else {
             // Drain everything.
@@ -110,9 +110,9 @@ proptest! {
                 }
             }
             prop_assert!(mem.is_idle());
-            (mem.stats().get("pm.write.total"), 0, 0)
+            (mem.stats().get(Counter::PmWriteTotal), 0, 0)
         };
-        let dropped = mem.stats().get("pm.drop.lpo") + mem.stats().get("pm.drop.dpo");
+        let dropped = mem.stats().get(Counter::PmDropLpo) + mem.stats().get(Counter::PmDropDpo);
         // Conservation: every submission is written, dropped, flushed or
         // (crash only) lost before acceptance.
         prop_assert_eq!(

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use crate::addr::{LineAddr, PmAddr, LINE_BYTES, PAGE_BYTES};
 
-/// One 4KB page of memory plus its page-table persistent bit.
+/// The bytes of one 4KB page: one allocation behind its [`Arc`].
 ///
 /// Pages are held behind [`Arc`] so a [`MemoryImage::snapshot`] is a
 /// pointer-table copy: both images share every page until one of them
@@ -14,19 +14,7 @@ use crate::addr::{LineAddr, PmAddr, LINE_BYTES, PAGE_BYTES};
 /// about to mutate (copy-on-write). `Arc` rather than `Rc` keeps the
 /// image `Send`, which the parallel figure harness relies on.
 #[derive(Clone)]
-struct Page {
-    bytes: Box<[u8; PAGE_BYTES as usize]>,
-    persistent: bool,
-}
-
-impl Page {
-    fn zeroed() -> Self {
-        Page {
-            bytes: Box::new([0u8; PAGE_BYTES as usize]),
-            persistent: false,
-        }
-    }
-}
+struct Page([u8; PAGE_BYTES as usize]);
 
 /// Sentinel key for an empty index slot. Page numbers are byte addresses
 /// divided by `PAGE_BYTES`, so `u64::MAX` can never be a real page number.
@@ -138,18 +126,22 @@ impl PageIndex {
     }
 }
 
-/// Byte-accurate main-memory contents with per-page persistent bits.
+/// Byte-accurate main-memory contents with page-granular persistent bits.
 ///
 /// In the machine model this image holds what is *in the memory modules*:
 /// for PM pages, that is the durable state (plus whatever the WPQ flushes on
 /// a crash — see `asap-mem`); caches hold newer dirty copies on top.
 ///
-/// Unwritten memory reads as zero, like freshly mapped pages.
+/// Unwritten memory reads as zero, like freshly mapped pages, and a page
+/// is allocated only when first written.
 ///
 /// Internally pages live in a flat `Vec` reached through an open-addressed
 /// page index plus a one-entry last-page cache — almost every access in a
 /// simulation run touches the same page as its predecessor, so the common
-/// case is one compare instead of a map walk.
+/// case is one compare instead of a map walk. The persistent bits are not
+/// in the pages: they are one sorted set of coalesced page ranges, so
+/// marking megabytes of log buffer persistent inserts one range and
+/// allocates no page.
 ///
 /// # Example
 ///
@@ -169,6 +161,9 @@ pub struct MemoryImage {
     /// Last page looked up, as `(page_no, slot)` — hit on nearly every
     /// sequential access.
     last: Cell<(u64, u32)>,
+    /// Persistent page ranges `[first, end)` in page numbers: sorted,
+    /// disjoint and never adjacent (touching ranges are merged).
+    persistent: Vec<(u64, u64)>,
     /// Hot-path access statistics (plain `Cell`s, not atomics — each
     /// image belongs to one simulation). Never printed by figures;
     /// taken into the host metrics registry after a run. They count this
@@ -195,8 +190,7 @@ const _: fn() = || {
 /// fall-through lookup when the table is collision-free).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ImageStats {
-    /// Page lookups (one per page touched by each read/write/persist-bit
-    /// query).
+    /// Page lookups (one per page touched by each read or write).
     pub lookups: u64,
     /// Lookups answered by the one-entry last-page cache.
     pub last_page_hits: u64,
@@ -215,6 +209,7 @@ impl MemoryImage {
             pages: Vec::new(),
             index: PageIndex::new(),
             last: Cell::new((EMPTY, 0)),
+            persistent: Vec::new(),
             stats: Cell::new(ImageStats::default()),
         }
     }
@@ -244,7 +239,7 @@ impl MemoryImage {
             Some(s) => s,
             None => {
                 let s = u32::try_from(self.pages.len()).expect("page count fits u32");
-                self.pages.push(Arc::new(Page::zeroed()));
+                self.pages.push(Arc::new(Page([0; PAGE_BYTES as usize])));
                 self.index.insert(page_no, s);
                 self.last.set((page_no, s));
                 s
@@ -275,7 +270,7 @@ impl MemoryImage {
             match self.lookup(page_no) {
                 Some(slot) => {
                     let p = &self.pages[slot as usize];
-                    buf[done..done + n].copy_from_slice(&p.bytes[off..off + n]);
+                    buf[done..done + n].copy_from_slice(&p.0[off..off + n]);
                 }
                 None => buf[done..done + n].fill(0),
             }
@@ -292,7 +287,7 @@ impl MemoryImage {
             let page_no = pos / PAGE_BYTES;
             let off = (pos % PAGE_BYTES) as usize;
             let n = (data.len() - done).min(PAGE_BYTES as usize - off);
-            self.page_mut(page_no).bytes[off..off + n].copy_from_slice(&data[done..done + n]);
+            self.page_mut(page_no).0[off..off + n].copy_from_slice(&data[done..done + n]);
             done += n;
             pos += n as u64;
         }
@@ -324,21 +319,37 @@ impl MemoryImage {
 
     /// Sets the page-table persistent bit for every page overlapping
     /// `[addr, addr + len)` — what `asap_malloc` does (§4.6).
+    ///
+    /// Marking merges one page range into the image's range set: it
+    /// allocates no page and copies no shared page, and a marked page
+    /// still reads zero until written. Bits are never cleared.
     pub fn mark_persistent(&mut self, addr: PmAddr, len: u64) {
         if len == 0 {
             return;
         }
         let first = addr.page();
-        let last = (addr.0 + len - 1) / PAGE_BYTES;
-        for p in first..=last {
-            self.page_mut(p).persistent = true;
+        let end = (addr.0 + len - 1) / PAGE_BYTES + 1;
+        // The ranges that overlap or touch `[first, end)` merge with it.
+        let lo = self.persistent.partition_point(|r| r.1 < first);
+        let hi = self.persistent.partition_point(|r| r.0 <= end);
+        if lo == hi {
+            self.persistent.insert(lo, (first, end));
+        } else {
+            let merged = (
+                first.min(self.persistent[lo].0),
+                end.max(self.persistent[hi - 1].1),
+            );
+            self.persistent[lo] = merged;
+            self.persistent.drain(lo + 1..hi);
         }
     }
 
-    /// Whether the page containing `addr` has its persistent bit set.
+    /// Whether the page containing `addr` has its persistent bit set: a
+    /// search of the range set, whether or not the page was ever written.
     pub fn is_persistent(&self, addr: PmAddr) -> bool {
-        self.lookup(addr.page())
-            .is_some_and(|slot| self.pages[slot as usize].persistent)
+        let page = addr.page();
+        let i = self.persistent.partition_point(|r| r.1 <= page);
+        self.persistent.get(i).is_some_and(|r| r.0 <= page)
     }
 
     /// Whether the page containing `line` has its persistent bit set.
@@ -346,7 +357,8 @@ impl MemoryImage {
         self.is_persistent(line.base())
     }
 
-    /// Number of pages that have ever been touched.
+    /// Number of pages that hold bytes: every page written at least once.
+    /// Reading or marking a page allocates none.
     pub fn touched_pages(&self) -> usize {
         self.pages.len()
     }
@@ -386,9 +398,10 @@ impl MemoryImage {
     }
 }
 
-/// `clone` is the snapshot primitive (pointer-table copy, refcount bumps);
-/// `clone_from` reuses the destination's page table and index buffers and
-/// re-points only the page slots whose page differs from the source's, so
+/// `clone` is the snapshot primitive (pointer-table copy, refcount bumps,
+/// plus a copy of the persistent range set); `clone_from` reuses the
+/// destination's page table, index and range buffers and re-points only
+/// the page slots whose page differs from the source's, so
 /// refreshing a copy from the image it was cloned from costs one pointer
 /// compare per page plus a refcount pair per page either side rewrote.
 /// The price of keeping the copy's pages: until the next refresh, the
@@ -402,6 +415,7 @@ impl Clone for MemoryImage {
             pages: self.pages.clone(),
             index: self.index.clone(),
             last: self.last.clone(),
+            persistent: self.persistent.clone(),
             stats: Cell::new(ImageStats::default()),
         }
     }
@@ -417,6 +431,7 @@ impl Clone for MemoryImage {
         self.pages.extend_from_slice(&src.pages[kept..]);
         self.index.clone_from(&src.index);
         self.last.set(src.last.get());
+        self.persistent.clone_from(&src.persistent);
     }
 }
 
@@ -630,15 +645,35 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_preserves_persistent_bits_and_cow_covers_marking() {
+    fn snapshot_preserves_persistent_bits_and_marking_copies_no_page() {
         let mut m = MemoryImage::new();
         m.write_u64(PmAddr(0), 1);
         let snap = m.snapshot();
-        // mark_persistent goes through the same CoW write path.
+        // Marking changes the image's range set, not the shared page.
         m.mark_persistent(PmAddr(0), 8);
         assert!(m.is_persistent(PmAddr(0)));
         assert!(!snap.is_persistent(PmAddr(0)));
-        assert_eq!(m.access_stats().cow_copies, 1);
+        assert_eq!(m.access_stats().cow_copies, 0);
+        assert_eq!(m.shared_pages(), 1);
+    }
+
+    #[test]
+    fn overlapping_and_adjacent_marks_coalesce() {
+        let mut m = MemoryImage::new();
+        m.mark_persistent(PmAddr(4 * PAGE_BYTES), PAGE_BYTES);
+        m.mark_persistent(PmAddr(8 * PAGE_BYTES), 2 * PAGE_BYTES);
+        m.mark_persistent(PmAddr(0), 1);
+        assert_eq!(m.persistent, [(0, 1), (4, 5), (8, 10)]);
+        // Adjacent on the left of (4, 5), overlapping (8, 10) on the right.
+        m.mark_persistent(PmAddr(5 * PAGE_BYTES), 3 * PAGE_BYTES + 1);
+        assert_eq!(m.persistent, [(0, 1), (4, 10)]);
+        // Touching both remaining ranges merges everything.
+        m.mark_persistent(PmAddr(PAGE_BYTES), 3 * PAGE_BYTES);
+        assert_eq!(m.persistent, [(0, 10)]);
+        // A mark inside a range changes nothing.
+        m.mark_persistent(PmAddr(3 * PAGE_BYTES), 64);
+        assert_eq!(m.persistent, [(0, 10)]);
+        assert_eq!(m.touched_pages(), 0);
     }
 
     #[test]
@@ -804,7 +839,7 @@ mod tests {
         prop_oneof![
             4 => (any::<u8>(), addr.clone(), any::<u64>())
                 .prop_map(|(target, addr, v)| CowOp::Write { target, addr, v }),
-            1 => (any::<u8>(), addr.clone(), 0u64..2 * PAGE_BYTES)
+            1 => (any::<u8>(), addr.clone(), 0u64..=16 * PAGE_BYTES)
                 .prop_map(|(target, addr, len)| CowOp::Mark { target, addr, len }),
             2 => any::<u8>().prop_map(|target| CowOp::Snapshot { target }),
             2 => any::<u8>().prop_map(|which| CowOp::DropFork { which }),
@@ -814,10 +849,13 @@ mod tests {
 
     proptest! {
         /// CoW image vs eager-deep-copy oracle through arbitrary
-        /// interleavings of writes, snapshots, forks-of-forks, refreshes
-        /// of one image from another, and fork drops: byte contents and persistent bits must stay identical on
-        /// every live image, and once every fork is gone the base image
-        /// must own all its pages exclusively again (no leaked sharing).
+        /// interleavings of writes, persistent marks (up to the whole
+        /// window, over written and never-written pages, overlapping and
+        /// adjacent), snapshots, forks-of-forks, refreshes of one image
+        /// from another, and fork drops: byte contents and persistent bits
+        /// must stay identical on every live image, and once every fork is
+        /// gone the base image must own all its pages exclusively again
+        /// (no leaked sharing).
         #[test]
         fn prop_cow_matches_eager_oracle(
             ops in proptest::collection::vec(cow_op(), 1..80),

@@ -7,8 +7,9 @@
 //! - [`addr`] — typed physical addresses and the DRAM/PM address-space
 //!   split, with cache-line and page arithmetic;
 //! - [`image`] — a sparse byte-accurate [`MemoryImage`] holding the contents
-//!   of main memory, with a per-page *persistent bit* (the page-table bit set
-//!   by `asap_malloc`, §4.6);
+//!   of main memory (pages allocated on first write), with a page-granular
+//!   *persistent bit* (the page-table bit set by `asap_malloc`, §4.6) kept
+//!   as a set of page ranges;
 //! - [`heap`] — a deterministic first-fit [`RangeAllocator`] used for the
 //!   persistent heap (`asap_malloc`/`asap_free`) and per-thread log buffers.
 //!

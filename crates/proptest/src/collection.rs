@@ -5,7 +5,7 @@ use std::ops::{Range, RangeInclusive};
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// A length specification accepted by [`vec`]: an exact `usize`, `a..b`, or
+/// A length specification accepted by [`vec()`]: an exact `usize`, `a..b`, or
 /// `a..=b`.
 #[derive(Clone, Copy, Debug)]
 pub struct SizeRange {
@@ -51,7 +51,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

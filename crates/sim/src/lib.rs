@@ -53,7 +53,7 @@ pub use events::EventQueue;
 pub use fingerprint::{Canon, Fingerprint};
 pub use lock::VirtualLock;
 pub use sched::ThreadClocks;
-pub use stats::{Histogram, Stats, Summary};
+pub use stats::{Counter, Dist, Histogram, StatSlots, Stats, Summary};
 pub use timeseries::{TelemetrySettings, TimeSeries};
 pub use trace::{
     chrome_trace_json, StallClass, StallReason, Trace, TraceEvent, TracePart, TraceRecord,

@@ -6,6 +6,13 @@
 //! (≤ 12.5%, from 8 sub-buckets per octave). Bucket counts merge exactly
 //! across registries, so quantiles of a merged run equal quantiles of the
 //! concatenated sample stream — the property tests in this module rely on it.
+//!
+//! The simulator records into a [`StatSlots`]: one `u64` slot per
+//! [`Counter`] id and one histogram per [`Dist`] id, so a bump on the step
+//! path is an array index, not a map walk. The two id enums are the
+//! stat-name registry: each id maps to its exact dotted name, and
+//! [`StatSlots::export_into`] turns the slots into the name-keyed
+//! [`Stats`] that reports, result JSON and the run cache carry.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -94,11 +101,27 @@ impl Summary {
 
 /// A log-bucketed histogram: an exact [`Summary`] plus per-bucket counts
 /// supporting quantile queries and exact merges.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Histogram {
     summary: Summary,
     /// Bucket counts, indexed by [`bucket_index`]; grown on demand.
     counts: Vec<u64>,
+}
+
+/// `clone_from` reuses the destination's bucket buffer, so refreshing a
+/// forked machine's distributions copies counts without allocating.
+impl Clone for Histogram {
+    fn clone(&self) -> Self {
+        Histogram {
+            summary: self.summary,
+            counts: self.counts.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.summary = src.summary;
+        self.counts.clone_from(&src.counts);
+    }
 }
 
 /// Maps a sample to its bucket index. Values below `SUB` map exactly;
@@ -292,10 +315,12 @@ impl Histogram {
 }
 
 /// A registry of named counters and distributions produced by a simulation
-/// run.
+/// run: the report form of a run's statistics.
 ///
-/// Names are free-form dotted strings (`"pm.write.lpo"`). The registry is
-/// ordered (BTreeMap) so reports are stable.
+/// Names are free-form dotted strings (`"pm.write.lpo"`); the simulator's
+/// own are the [`Counter`] and [`Dist`] names, exported from its
+/// [`StatSlots`]. The registry is ordered (BTreeMap) so reports are
+/// stable.
 ///
 /// # Example
 ///
@@ -501,6 +526,230 @@ impl fmt::Display for Stats {
             )?;
         }
         Ok(())
+    }
+}
+
+/// Declares a stat-id enum: one variant per dotted name, with
+/// `ALL`, `COUNT`, `name` and `from_name`.
+macro_rules! stat_ids {
+    ($(#[$meta:meta])* $ty:ident { $($var:ident => $name:literal,)* }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $ty {
+            $(#[doc = concat!("`", $name, "`")] $var,)*
+        }
+
+        impl $ty {
+            /// Every id, in slot order.
+            pub const ALL: [$ty; [$($name),*].len()] = [$($ty::$var),*];
+            /// Number of ids (slots in a [`StatSlots`]).
+            pub const COUNT: usize = Self::ALL.len();
+
+            /// The exact dotted name this id reports under.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$var => $name,)*
+                }
+            }
+
+            /// The id reporting under `name`, if any.
+            pub fn from_name(name: &str) -> Option<$ty> {
+                Self::ALL.into_iter().find(|id| id.name() == name)
+            }
+        }
+    };
+}
+
+stat_ids! {
+    /// A counter the simulator records: what a [`StatSlots`] counts.
+    Counter {
+        TxCompleted => "tx.completed",
+        RegionBegun => "region.begun",
+        RegionCount => "region.count",
+        RegionCommitted => "region.committed",
+        RunDrainCycles => "run.drain_cycles",
+        CrashCount => "crash.count",
+        MachineContextSwitch => "machine.context_switch",
+        MachineNonregionPmWrite => "machine.nonregion_pm_write",
+        StallCyclesLogFull => "machine.stall_cycles.log_full",
+        StallCyclesWpqBackpressure => "machine.stall_cycles.wpq_backpressure",
+        StallCyclesDependencyWait => "machine.stall_cycles.dependency_wait",
+        StallCyclesCommitWait => "machine.stall_cycles.commit_wait",
+        EvictTotal => "machine.evict.total",
+        EvictForced => "machine.evict.forced",
+        EvictDirty => "machine.evict.dirty",
+        RedoRedirectedRead => "redo.redirected_read",
+        RedoSuppressedWriteback => "redo.suppressed_writeback",
+        AsapOwnerBufferLookup => "asap.owner_buffer_lookup",
+        AsapOwnerRestored => "asap.owner_restored",
+        AsapOwnerSaved => "asap.owner_saved",
+        AsapBloomFalsePositive => "asap.bloom_false_positive",
+        AsapBroadcastMessages => "asap.broadcast.messages",
+        AsapLpo => "asap.lpo",
+        AsapFence => "asap.fence",
+        AsapForcedLockedEviction => "asap.forced_locked_eviction",
+        AsapStallLogFull => "asap.stall.log_full",
+        AsapStallLhWpq => "asap.stall.lh_wpq",
+        AsapStallDepSlots => "asap.stall.dep_slots",
+        AsapStallClEntries => "asap.stall.cl_entries",
+        AsapStallDepEntries => "asap.stall.dep_entries",
+        AsapStallLpoLock => "asap.stall.lpo_lock",
+        AsapStallClptrSlots => "asap.stall.clptr_slots",
+        MemSubmitLpo => "mem.submit.lpo",
+        MemSubmitLogHeader => "mem.submit.log_header",
+        MemSubmitDpo => "mem.submit.dpo",
+        MemSubmitWriteback => "mem.submit.writeback",
+        MemSubmitSwPersist => "mem.submit.sw_persist",
+        MemSubmitMarker => "mem.submit.marker",
+        MemReadForwarded => "mem.read.forwarded",
+        MemWpqFullArrival => "mem.wpq.full_arrival",
+        PmWriteLpo => "pm.write.lpo",
+        PmWriteLogHeader => "pm.write.log_header",
+        PmWriteDpo => "pm.write.dpo",
+        PmWriteWriteback => "pm.write.writeback",
+        PmWriteSwPersist => "pm.write.sw_persist",
+        PmWriteMarker => "pm.write.marker",
+        PmWriteTotal => "pm.write.total",
+        PmDropLpo => "pm.drop.lpo",
+        PmDropDpo => "pm.drop.dpo",
+        DramWriteWriteback => "dram.write.writeback",
+        CrashFlushed => "crash.flushed",
+        CrashLostUnaccepted => "crash.lost_unaccepted",
+    }
+}
+
+stat_ids! {
+    /// A distribution the simulator samples: what a [`StatSlots`] keeps a
+    /// [`Histogram`] of.
+    Dist {
+        RegionCycles => "region.cycles",
+        RegionCompute => "region.compute",
+        RegionStallLogFull => "region.stall.log_full",
+        RegionStallWpqBackpressure => "region.stall.wpq_backpressure",
+        RegionStallDependencyWait => "region.stall.dependency_wait",
+        RegionStallCommitWait => "region.stall.commit_wait",
+        RegionLinesWritten => "region.lines_written",
+        RegionDeps => "region.deps",
+        MemWpqResidencyCycles => "mem.wpq.residency_cycles",
+        MemWpqOccupancy => "mem.wpq.occupancy",
+        MemPersistLatency => "mem.persist.latency",
+    }
+}
+
+/// The simulator's fixed-slot statistics: one `u64` per [`Counter`] and
+/// one [`Histogram`] per [`Dist`], indexed by id.
+///
+/// Recording is an array index. [`export_into`](Self::export_into)
+/// produces exactly the [`Stats`] that recording the same operations by
+/// name would: a counter appears once it is non-zero (adding 0 creates
+/// nothing), a distribution once it holds a sample, and
+/// [`reset_summary`](Self::reset_summary) leaves a fresh histogram, as
+/// removing the name does. `clone_from` copies the flat arrays and reuses
+/// the histograms' bucket buffers, so refreshing a fork allocates nothing
+/// once warm.
+///
+/// # Example
+///
+/// ```
+/// use asap_sim::stats::{Counter, Dist, StatSlots, Stats};
+///
+/// let mut slots = StatSlots::new();
+/// slots.add(Counter::PmWriteTotal, 3);
+/// slots.bump(Counter::PmWriteTotal);
+/// slots.sample(Dist::RegionCycles, 120);
+/// assert_eq!(slots.get(Counter::PmWriteTotal), 4);
+/// let mut s = Stats::new();
+/// slots.export_into(&mut s);
+/// assert_eq!(s.get("pm.write.total"), 4);
+/// assert_eq!(s.summary("region.cycles").unwrap().mean(), 120.0);
+/// assert_eq!(s.counters().count(), 1);
+/// ```
+#[derive(Debug, PartialEq)]
+pub struct StatSlots {
+    counters: [u64; Counter::COUNT],
+    dists: [Histogram; Dist::COUNT],
+}
+
+impl StatSlots {
+    /// All counters zero, all distributions empty.
+    pub fn new() -> Self {
+        StatSlots {
+            counters: [0; Counter::COUNT],
+            dists: std::array::from_fn(|_| Histogram::default()),
+        }
+    }
+
+    /// Adds `v` to counter `id`.
+    #[inline]
+    pub fn add(&mut self, id: Counter, v: u64) {
+        self.counters[id as usize] += v;
+    }
+
+    /// Increments counter `id` by one.
+    #[inline]
+    pub fn bump(&mut self, id: Counter) {
+        self.add(id, 1);
+    }
+
+    /// Current value of counter `id`.
+    #[inline]
+    pub fn get(&self, id: Counter) -> u64 {
+        self.counters[id as usize]
+    }
+
+    /// Records a sample into distribution `id`.
+    #[inline]
+    pub fn sample(&mut self, id: Dist, v: u64) {
+        self.dists[id as usize].record(v);
+    }
+
+    /// Discards every sample of the distribution named `name` (no-op for
+    /// a name that is no [`Dist`]), like [`Stats::reset_summary`].
+    pub fn reset_summary(&mut self, name: &str) {
+        if let Some(id) = Dist::from_name(name) {
+            self.dists[id as usize] = Histogram::default();
+        }
+    }
+
+    /// Adds every non-zero counter and merges every non-empty distribution
+    /// into `out` under its name.
+    pub fn export_into(&self, out: &mut Stats) {
+        for (id, &v) in Counter::ALL.iter().zip(&self.counters) {
+            out.add(id.name(), v);
+        }
+        for (id, h) in Dist::ALL.iter().zip(&self.dists) {
+            if h.count() == 0 {
+                continue;
+            }
+            match out.summaries.get_mut(id.name()) {
+                Some(dst) => dst.merge_from(h),
+                None => {
+                    out.summaries.insert(id.name().to_owned(), h.clone());
+                }
+            }
+        }
+    }
+}
+
+impl Default for StatSlots {
+    fn default() -> Self {
+        StatSlots::new()
+    }
+}
+
+impl Clone for StatSlots {
+    fn clone(&self) -> Self {
+        StatSlots {
+            counters: self.counters,
+            dists: self.dists.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.counters = src.counters;
+        for (dst, h) in self.dists.iter_mut().zip(&src.dists) {
+            dst.clone_from(h);
+        }
     }
 }
 
@@ -715,6 +964,144 @@ mod tests {
                 let mut ba = hist_of(&b);
                 ba.merge_from(&hist_of(&a));
                 prop_assert_eq!(&ab, &ba);
+            }
+        }
+    }
+
+    #[test]
+    fn stat_ids_name_round_trip() {
+        for id in Counter::ALL {
+            assert_eq!(Counter::from_name(id.name()), Some(id));
+        }
+        for id in Dist::ALL {
+            assert_eq!(Dist::from_name(id.name()), Some(id));
+        }
+        let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        names.extend(Dist::ALL.iter().map(|d| d.name()));
+        let n = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), n, "every stat name is distinct");
+        assert_eq!(Counter::from_name("no.such.counter"), None);
+    }
+
+    mod slot_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One step applied to both registries. `b` picks which of the
+        /// two slot registries records it (the name-keyed `Stats` sees
+        /// every step, as `Machine::stats` merges the two).
+        #[derive(Clone, Debug)]
+        enum SlotOp {
+            Add {
+                b: bool,
+                id: usize,
+                v: u64,
+            },
+            Sample {
+                b: bool,
+                id: usize,
+                v: u64,
+            },
+            /// Reset by name: a `Dist` name, a counter name or an unknown one.
+            Reset {
+                which: usize,
+            },
+            Clone,
+            CloneFrom,
+        }
+
+        fn value() -> impl Strategy<Value = u64> {
+            prop_oneof![Just(0u64), 0u64..16, 0u64..1 << 40]
+        }
+
+        fn slot_op() -> impl Strategy<Value = SlotOp> {
+            prop_oneof![
+                4 => (any::<bool>(), 0..Counter::COUNT, value())
+                    .prop_map(|(b, id, v)| SlotOp::Add { b, id, v }),
+                4 => (any::<bool>(), 0..Dist::COUNT, prop_oneof![value(), any::<u64>()])
+                    .prop_map(|(b, id, v)| SlotOp::Sample { b, id, v }),
+                1 => (0..Dist::COUNT + 2).prop_map(|which| SlotOp::Reset { which }),
+                1 => Just(SlotOp::Clone),
+                1 => Just(SlotOp::CloneFrom),
+            ]
+        }
+
+        /// Both registries exported into one `Stats`, as `Machine::stats`
+        /// does.
+        fn export(slots: &[StatSlots; 2]) -> Stats {
+            let mut s = Stats::new();
+            for slot in slots {
+                slot.export_into(&mut s);
+            }
+            s
+        }
+
+        /// A warmed registry unlike `src`, `clone_from`'d from it.
+        fn refreshed(src: &StatSlots) -> StatSlots {
+            let mut dst = StatSlots::new();
+            for (i, id) in Dist::ALL.into_iter().enumerate() {
+                dst.sample(id, u64::MAX >> i);
+            }
+            dst.add(Counter::PmWriteTotal, 7);
+            dst.clone_from(src);
+            dst
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+            // The slot registry is the string registry by another index:
+            // exported through `export_into`, two slot registries driven
+            // with the same steps equal (and serialize byte-identically to)
+            // one `Stats` driven by name — zero adds, resets and forks
+            // mid-trace included.
+            #[test]
+            fn slots_export_exactly_the_string_registry(
+                ops in proptest::collection::vec(slot_op(), 1..160),
+            ) {
+                let mut slots = [StatSlots::new(), StatSlots::new()];
+                let mut names = Stats::new();
+                for op in &ops {
+                    match *op {
+                        SlotOp::Add { b, id, v } => {
+                            slots[usize::from(b)].add(Counter::ALL[id], v);
+                            names.add(Counter::ALL[id].name(), v);
+                        }
+                        SlotOp::Sample { b, id, v } => {
+                            slots[usize::from(b)].sample(Dist::ALL[id], v);
+                            names.sample(Dist::ALL[id].name(), v);
+                        }
+                        SlotOp::Reset { which } => {
+                            let name = match which {
+                                w if w < Dist::COUNT => Dist::ALL[w].name(),
+                                w if w == Dist::COUNT => Counter::TxCompleted.name(),
+                                _ => "no.such.dist",
+                            };
+                            for s in &mut slots {
+                                s.reset_summary(name);
+                            }
+                            names.reset_summary(name);
+                        }
+                        SlotOp::Clone => {
+                            slots = [slots[0].clone(), slots[1].clone()];
+                            names = names.clone();
+                        }
+                        SlotOp::CloneFrom => {
+                            slots = [refreshed(&slots[0]), refreshed(&slots[1])];
+                        }
+                    }
+                    let exported = export(&slots);
+                    prop_assert_eq!(&exported, &names);
+                    if matches!(op, SlotOp::Clone | SlotOp::CloneFrom) {
+                        prop_assert_eq!(exported.to_exact_json(), names.to_exact_json());
+                    }
+                }
+                prop_assert_eq!(export(&slots).to_exact_json(), names.to_exact_json());
+                for id in Counter::ALL {
+                    let sum = slots[0].get(id) + slots[1].get(id);
+                    prop_assert_eq!(sum, names.get(id.name()));
+                }
             }
         }
     }
