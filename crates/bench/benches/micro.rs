@@ -53,32 +53,32 @@ fn bench_with(name: &str, warmup: u64, iters: u64, mut f: impl FnMut()) {
 }
 
 fn bench_events() {
-    // Every queue here carries 144-byte payloads, the size of
+    // Every queue here carries 24-byte payloads, the size of
     // `MemSystem`'s `(channel, ChEvent)` events, so moving one costs what
-    // it costs in the simulator: with `u64` payloads the ranking of queue
-    // designs can flip against the one the workloads show.
+    // it costs in the simulator: payload size can flip the ranking of
+    // queue designs (an inline heap lost to a payload slab at the 144
+    // bytes events had while they carried whole persist ops).
 
     // Rolling near-future window with 0–2 events pending, popped in time
-    // order. Stays within the warmed heap and slab, so the loop is
-    // allocation-free.
-    let mut q: EventQueue<[u64; 18]> = EventQueue::new();
+    // order. Stays within the warmed heap, so the loop is allocation-free.
+    let mut q: EventQueue<[u64; 3]> = EventQueue::new();
     let mut t = 0u64;
     bench("event_queue_push_pop", || {
         t += 13;
-        q.push(Cycle(t + 16), [t; 18]);
-        q.push(Cycle(t + 900), [t + 1; 18]);
+        q.push(Cycle(t + 16), [t; 3]);
+        q.push(Cycle(t + 900), [t + 1; 3]);
         black_box(q.pop());
         black_box(q.pop());
     });
 
     // Same-cycle burst: every event of a batch shares one cycle and must
     // pop in insertion order (FIFO within a cycle).
-    let mut q: EventQueue<[u64; 18]> = EventQueue::new();
+    let mut q: EventQueue<[u64; 3]> = EventQueue::new();
     let mut t = 0u64;
     bench("event_queue_burst_fifo", || {
         t += 1;
         for i in 0..8u64 {
-            q.push(Cycle(t), [i; 18]);
+            q.push(Cycle(t), [i; 3]);
         }
         while q.pop().is_some() {}
     });
@@ -87,13 +87,13 @@ fn bench_events() {
     // 89 events pending on average at each push and `slow_pm` 57
     // (DESIGN.md §3). 128 near-future events stay pending; each iteration
     // pushes one 16–4111 cycles out and pops the earliest.
-    let mut q: EventQueue<[u64; 18]> = EventQueue::new();
+    let mut q: EventQueue<[u64; 3]> = EventQueue::new();
     let mut t = 0u64;
-    let mut push_next = |q: &mut EventQueue<[u64; 18]>| {
+    let mut push_next = |q: &mut EventQueue<[u64; 3]>| {
         t += 13;
         q.push(
             Cycle(t + 16 + t.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 4096),
-            [t; 18],
+            [t; 3],
         );
     };
     for _ in 0..128 {
@@ -347,9 +347,10 @@ fn bench_snapshot() {
     });
 
     // The same two costs on the Table 2 system: 18 cores, 2 of them
-    // running, where the cache tag arrays are ~9 MB against a footprint of
-    // a few hundred lines. The restore case is one crash-sweep fork: run a
-    // region from the snapshot, crash, recover, restore.
+    // running, a footprint of a few hundred lines. The tag arrays hold
+    // only the chunks those lines map to (~9 MB if every chunk existed),
+    // and a snapshot deep-copies them. The restore case is one crash-sweep
+    // fork: run a region from the snapshot, crash, recover, restore.
     let mut m = Machine::new(MachineConfig::new(SchemeKind::Asap, 2));
     let a = m.pm_alloc(64 * 64).unwrap();
     let region = |m: &mut Machine, i: u64| {

@@ -23,9 +23,10 @@
 //! Dependence List exists to prevent, so it panics loudly instead of
 //! accumulating a statistic.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use asap_mem::Rid;
+use asap_pmem::{AddrMap, AddrSet};
 use asap_sim::Cycle;
 
 /// Maximum regions (and committed-region timeline entries) retained by the
@@ -63,9 +64,9 @@ pub struct RegionLog {
     dropped: u64,
     // ---- auditor state (always on, O(live regions)) ----
     /// Begun but not yet committed.
-    live: HashSet<Rid>,
+    live: AddrSet<Rid>,
     /// Dependencies recorded while both endpoints were live.
-    audit_deps: HashMap<Rid, Vec<Rid>>,
+    audit_deps: AddrMap<Rid, Vec<Rid>>,
     /// Commits checked against the DAG so far.
     audited: u64,
 }

@@ -26,10 +26,10 @@
 
 pub mod structs;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use asap_mem::{BloomFilter, Evicted, MemEvent, OpId, PersistKind, Rid};
-use asap_pmem::LineAddr;
+use asap_pmem::{AddrMap, LineAddr};
 use asap_sim::{Counter, Cycle, StallReason, SystemConfig, TraceEvent};
 
 use crate::hw::Hw;
@@ -75,11 +75,11 @@ pub struct Asap {
     lh: LhWpq,
     blooms: Vec<BloomFilter>,
     /// The DRAM buffer of §5.3: owner RIDs of evicted uncommitted lines.
-    evicted_owners: HashMap<LineAddr, Rid>,
+    evicted_owners: AddrMap<LineAddr, Rid>,
     threads: BTreeMap<usize, AsapThread>,
-    meta: HashMap<Rid, RegionMeta>,
+    meta: AddrMap<Rid, RegionMeta>,
     /// LPO op → the data line whose old value it logs.
-    lpo_of: HashMap<OpId, LineAddr>,
+    lpo_of: AddrMap<OpId, LineAddr>,
     inflight_headers: InflightHeaders,
     /// Header fields publish at LPO acceptance (see `LogAcceptTracker`).
     log_tracker: LogAcceptTracker,
@@ -112,10 +112,10 @@ impl Asap {
             blooms: (0..channels)
                 .map(|_| BloomFilter::new(cfg.asap.bloom_bits))
                 .collect(),
-            evicted_owners: HashMap::new(),
+            evicted_owners: AddrMap::default(),
             threads: BTreeMap::new(),
-            meta: HashMap::new(),
-            lpo_of: HashMap::new(),
+            meta: AddrMap::default(),
+            lpo_of: AddrMap::default(),
             inflight_headers: InflightHeaders::new(),
             log_tracker: LogAcceptTracker::new(),
         }

@@ -1,9 +1,7 @@
 //! ASAP's hardware structures: CL List, Dependence List, LH-WPQ (§4.3).
 
-use std::collections::HashMap;
-
 use asap_mem::Rid;
-use asap_pmem::{LineAddr, PmAddr};
+use asap_pmem::{AddrMap, LineAddr, PmAddr};
 
 use crate::logbuf::RecordHeader;
 
@@ -475,7 +473,7 @@ impl LhWpq {
     }
 
     /// Parses the table from a crash dump.
-    pub fn decode_table(bytes: &[u8]) -> Option<HashMap<Rid, PmAddr>> {
+    pub fn decode_table(bytes: &[u8]) -> Option<AddrMap<Rid, PmAddr>> {
         let mut p = 0usize;
         if bytes.get(p..p + 4)? != b"LHWQ" {
             return None;
@@ -483,7 +481,7 @@ impl LhWpq {
         p += 4;
         let n = u32::from_le_bytes(bytes.get(p..p + 4)?.try_into().ok()?) as usize;
         p += 4;
-        let mut out = HashMap::with_capacity(n);
+        let mut out = AddrMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let t = u16::from_le_bytes(bytes.get(p..p + 2)?.try_into().ok()?);
             p += 2;

@@ -1,10 +1,8 @@
 //! Machinery shared by the logging schemes: active-region log writers,
 //! in-flight sealed-header tracking, and the event-wait loop.
 
-use std::collections::HashMap;
-
 use asap_mem::{OpId, PersistKind, Rid};
-use asap_pmem::{LineAddr, MemoryImage, PmAddr};
+use asap_pmem::{AddrMap, LineAddr, MemoryImage, PmAddr};
 use asap_sim::Cycle;
 
 use crate::hw::Hw;
@@ -144,8 +142,8 @@ impl ActiveLog {
 /// hands back the encoded header for submission through the WPQ.
 #[derive(Clone, Debug, Default)]
 pub struct LogAcceptTracker {
-    records: HashMap<PmAddr, TrackedRecord>,
-    by_op: HashMap<OpId, (PmAddr, usize, LineAddr)>,
+    records: AddrMap<PmAddr, TrackedRecord>,
+    by_op: AddrMap<OpId, (PmAddr, usize, LineAddr)>,
 }
 
 /// One live record's header plus acceptance progress.
@@ -239,26 +237,9 @@ impl LogAcceptTracker {
     /// Drops all state belonging to `rid` (region committed).
     pub fn forget_region(&mut self, rid: Rid) {
         self.records.retain(|_, r| r.header.rid != rid);
-        let live: std::collections::HashSet<PmAddr> = self.records.keys().copied().collect();
-        self.by_op.retain(|_, (addr, _, _)| live.contains(addr));
-    }
-
-    /// Number of live (unreleased) records.
-    #[allow(dead_code)] // diagnostics
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether no records are live.
-    #[allow(dead_code)] // diagnostics
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The current entry count of the record at `addr` (for seal checks).
-    #[allow(dead_code)] // diagnostics
-    pub fn reserved_count(&self, addr: PmAddr) -> Option<usize> {
-        self.records.get(&addr).map(|r| r.header.count as usize)
+        let records = &self.records;
+        self.by_op
+            .retain(|_, (addr, _, _)| records.contains_key(addr));
     }
 }
 
@@ -270,7 +251,7 @@ impl LogAcceptTracker {
 /// those headers and writes the stragglers out at crash time.
 #[derive(Clone, Debug, Default)]
 pub struct InflightHeaders {
-    pending: HashMap<OpId, (PmAddr, [u8; 64])>,
+    pending: AddrMap<OpId, (PmAddr, [u8; 64])>,
 }
 
 impl InflightHeaders {
@@ -387,6 +368,28 @@ mod tests {
         }
         // The 7th entry seals and needs a new record: buffer is full.
         assert!(al.add_entry(&mut log, LineAddr(99)).is_err());
+    }
+
+    #[test]
+    fn forget_region_drops_its_records_and_their_ops() {
+        let mut t = LogAcceptTracker::new();
+        let (r1, r2) = (Rid::new(0, 1), Rid::new(1, 1));
+        for (rid, addr, op) in [(r1, PmAddr(0), OpId(1)), (r2, PmAddr(512), OpId(2))] {
+            t.start_record(rid, addr, None);
+            let i = t.reserve_slot(addr);
+            t.register(op, addr, i, LineAddr(op.0));
+        }
+        t.forget_region(r1);
+        assert_eq!(t.records.len(), 1);
+        assert!(
+            !t.by_op.contains_key(&OpId(1)),
+            "a forgotten record's op goes"
+        );
+        assert_eq!(t.accepted(OpId(1)), None);
+        // The other region's record still completes and releases.
+        assert_eq!(t.request_seal(PmAddr(512), false), None);
+        assert!(t.accepted(OpId(2)).is_some());
+        assert!(t.records.is_empty() && t.by_op.is_empty());
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //!   only after every log entry of the region is accepted — the region's
 //!   commit point is the marker's own acceptance.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use asap_mem::{Evicted, MemEvent, OpId, PersistKind, Rid};
-use asap_pmem::{LineAddr, PmAddr};
+use asap_pmem::{AddrMap, LineAddr, PmAddr};
 use asap_sim::{Counter, Cycle, StallReason};
 
 use crate::hw::Hw;
@@ -78,7 +78,7 @@ pub struct HwRedo {
     log_tracker: LogAcceptTracker,
     /// Uncommitted modified lines evicted from the LLC: their (new) data,
     /// readable only via the log until commit.
-    redirect: HashMap<LineAddr, [u8; 64]>,
+    redirect: AddrMap<LineAddr, [u8; 64]>,
     /// Regions currently active (uncommitted), for eviction decisions.
     active_rids: BTreeSet<Rid>,
     /// Global commit counter (orders retirement across threads).
@@ -94,7 +94,7 @@ impl HwRedo {
             threads: BTreeMap::new(),
             inflight_headers: InflightHeaders::new(),
             log_tracker: LogAcceptTracker::new(),
-            redirect: HashMap::new(),
+            redirect: AddrMap::default(),
             active_rids: BTreeSet::new(),
             commit_seq: 0,
             outstanding: BTreeSet::new(),

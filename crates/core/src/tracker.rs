@@ -16,10 +16,10 @@
 //!    the initial state reproduces the recovered image on every tracked
 //!    line.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use asap_mem::Rid;
-use asap_pmem::{LineAddr, MemoryImage};
+use asap_pmem::{AddrMap, LineAddr, MemoryImage};
 
 /// One tracked atomic region.
 #[derive(Clone, Debug)]
@@ -43,13 +43,13 @@ pub struct TrackedRegion {
 #[derive(Clone, Debug, Default)]
 pub struct RegionTracker {
     regions: Vec<TrackedRegion>,
-    index: HashMap<Rid, usize>,
+    index: AddrMap<Rid, usize>,
     /// Region sequence per thread, in begin order.
     per_thread: BTreeMap<u32, Vec<Rid>>,
     /// Last region to write each line.
-    last_writer: HashMap<LineAddr, Rid>,
+    last_writer: AddrMap<LineAddr, Rid>,
     /// Shadow of current persistent-line values.
-    shadow: HashMap<LineAddr, [u8; 64]>,
+    shadow: AddrMap<LineAddr, [u8; 64]>,
     open: BTreeMap<u32, Rid>,
 }
 
@@ -222,7 +222,7 @@ impl RegionTracker {
             }
         }
         // 4. Atomic durability: replay committed regions in begin order.
-        let mut replay: HashMap<LineAddr, [u8; 64]> = HashMap::new();
+        let mut replay: AddrMap<LineAddr, [u8; 64]> = AddrMap::default();
         for r in &self.regions {
             if !committed.contains(&r.rid) {
                 continue;

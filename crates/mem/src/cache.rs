@@ -24,12 +24,13 @@
 //! - every tag way carries its line's slab slot, so a cache hit resolves
 //!   data with **zero** hash probes;
 //! - each `TagArray` holds its sets inline (`ways ≤ 16`, found by mask)
-//!   in copy-on-write chunks of `CHUNK_SETS` sets, laid out like the PM
-//!   image's `Arc`-shared pages: a snapshot copies chunk pointers, a restore
-//!   re-points the chunks that differ, a crash drops them, and a write
-//!   copies a shared chunk first. An empty chunk is `None`, so a Table 2
-//!   machine allocates tags only for the sets its cores touch;
-//! - the slab tracks per-core private-cache presence masks, so remote-hit
+//!   in owned chunks of `CHUNK_SETS` sets, made on first write and written
+//!   in place. An empty chunk is `None`, so a Table 2 machine allocates
+//!   tags only for the sets its cores touch; a snapshot copies the chunks
+//!   that exist, a restore copies them in place, and a crash drops them;
+//! - the slab tracks per-core private-cache presence masks that mirror
+//!   every L1 and L2 tag array, and it holds exactly the LLC's lines, so
+//!   a probe is one slab lookup plus two mask tests, and remote-hit
 //!   detection and store write-invalidation visit only the cores that
 //!   actually hold a copy instead of scanning every core's tag sets.
 //!
@@ -39,7 +40,6 @@
 //! order — exactly like the nested-`Vec` layout it replaced.
 
 use std::cell::Cell;
-use std::sync::Arc;
 
 use asap_pmem::LineAddr;
 use asap_sim::{CacheConfig, SystemConfig};
@@ -567,12 +567,12 @@ impl LineSlab {
 
 /// Widest set a [`TagArray`] holds inline.
 const MAX_WAYS: usize = CacheConfig::MAX_WAYS as usize;
-/// Sets per copy-on-write chunk: a chunk of 16-way sets is ~5 KB, so a
-/// Table 2 LLC is 512 chunks and a fork copies only the ones it writes.
+/// Sets per chunk: a chunk of 16-way sets is ~5 KB, so a Table 2 LLC is
+/// 512 chunks, of which a machine makes only those its lines map to.
 const CHUNK_SETS: usize = 16;
 
 /// One set's ways, inline. Only the first `ways` entries are used.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct TagSet {
     /// Line per way; `NO_LINE` = empty way.
     lines: [LineAddr; MAX_WAYS],
@@ -598,14 +598,14 @@ type Chunk = [TagSet; CHUNK_SETS];
 
 /// A set-associative LRU tag array (timing only — data lives in the slab).
 ///
-/// The sets live in fixed-size chunks of [`CHUNK_SETS`] inline sets behind
-/// copy-on-write `Arc`s, the PM image's page layout applied to tags:
-/// `clone` (a machine snapshot) copies chunk pointers, `clone_from` (a
-/// restore) re-points only the chunks that differ, `clear` (a crash) drops
-/// them, and the first write to a shared chunk copies that chunk alone.
-/// `None` is an all-empty chunk, so an array allocates tag storage only
-/// for the sets its cores actually touch. Each way records its line's slab
-/// slot, so tag hits hand the data location straight back.
+/// The sets live in owned fixed-size chunks of [`CHUNK_SETS`] inline
+/// sets, each made on the first write to one of its sets and written in
+/// place from then on. `None` is an all-empty chunk, so an array allocates
+/// tag storage only for the sets its cores actually touch. `clone` (a
+/// snapshot) copies the chunks that exist, `clone_from` (a restore)
+/// copies them into the destination's chunks in place, and `clear` (a
+/// crash) drops them. Each way records its line's slab slot, so tag hits
+/// hand the data location straight back.
 ///
 /// Each set carries a *way hint*: the index of its most-recently-used
 /// way. Repeated accesses to the same line — by far the common case on the
@@ -618,7 +618,7 @@ type Chunk = [TagSet; CHUNK_SETS];
 #[derive(Debug)]
 struct TagArray {
     /// `sets / CHUNK_SETS` (rounded up) chunks; `None` = every way empty.
-    chunks: Vec<Option<Arc<Chunk>>>,
+    chunks: Vec<Option<Box<Chunk>>>,
     /// `sets - 1`; the set count is a power of two.
     set_mask: usize,
     ways: usize,
@@ -653,12 +653,12 @@ impl TagArray {
     }
 
     /// Mutable access to set number `set`, first materialising its chunk
-    /// if empty or copying it if shared.
+    /// if empty.
     #[inline]
     fn set_mut(&mut self, set: usize) -> &mut TagSet {
         let chunk =
-            self.chunks[set / CHUNK_SETS].get_or_insert_with(|| Arc::new([EMPTY_SET; CHUNK_SETS]));
-        &mut Arc::make_mut(chunk)[set % CHUNK_SETS]
+            self.chunks[set / CHUNK_SETS].get_or_insert_with(|| Box::new([EMPTY_SET; CHUNK_SETS]));
+        &mut chunk[set % CHUNK_SETS]
     }
 
     /// Finds `line`'s way, returning its slab slot.
@@ -794,7 +794,7 @@ fn clone_empty_arrays(dst: &mut Vec<TagArray>, src: &[TagArray]) {
     }
 }
 
-/// A snapshot: copies chunk pointers.
+/// A snapshot: copies the chunks that exist.
 impl Clone for TagArray {
     fn clone(&self) -> Self {
         TagArray {
@@ -805,20 +805,11 @@ impl Clone for TagArray {
         }
     }
 
-    /// A restore: re-points only the chunks whose pointer differs, reusing
-    /// the chunk table.
+    /// A restore: copies each chunk into the destination's chunk in place
+    /// (`Vec`, `Option` and `Box` all clone in place), so only chunks the
+    /// destination lacks are allocated.
     fn clone_from(&mut self, src: &Self) {
-        self.chunks.resize(src.chunks.len(), None);
-        for (dst, s) in self.chunks.iter_mut().zip(&src.chunks) {
-            let same = match (&*dst, s) {
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                (None, None) => true,
-                _ => false,
-            };
-            if !same {
-                dst.clone_from(s);
-            }
-        }
+        self.chunks.clone_from(&src.chunks);
         self.set_mask = src.set_mask;
         self.ways = src.ways;
         self.tick = src.tick;
@@ -863,7 +854,7 @@ pub struct CacheHierarchy {
     evictions: EvictionCounts,
 }
 
-/// `clone` is the snapshot primitive: the tag arrays copy chunk pointers,
+/// `clone` is the snapshot primitive: the tag arrays copy their chunks,
 /// the slab copies its live lines. `clone_from` is the restore: it
 /// overwrites `self` in place, so a scratch hierarchy restored again and
 /// again keeps its buffers (a derived `clone_from` would reallocate
@@ -947,8 +938,34 @@ impl CacheHierarchy {
 
     /// Where would an access by `core` to `line` hit right now? The
     /// returned [`Probe`] can be handed to
-    /// [`access_probed`](Self::access_probed) to avoid a second tag walk.
+    /// [`access_probed`](Self::access_probed) to avoid a second lookup.
+    ///
+    /// The slab holds exactly the LLC's lines and its presence masks mirror
+    /// every L1 and L2, so one slab lookup plus the masks answer without
+    /// walking a tag set.
     pub fn probe(&self, core: usize, line: LineAddr) -> Probe {
+        let Some(slot) = self.slab.slot_of(line) else {
+            return Probe {
+                level: HitLevel::Memory,
+                slot: NO_SLOT,
+            };
+        };
+        let level = if self.slab.test_l1(slot, core) {
+            HitLevel::L1
+        } else if self.slab.test_l2(slot, core) {
+            HitLevel::L2
+        } else if self.slab.private_elsewhere(slot, core) {
+            HitLevel::Remote
+        } else {
+            HitLevel::Llc
+        };
+        Probe { level, slot }
+    }
+
+    /// [`probe`](Self::probe) by walking the tag arrays: the oracle the
+    /// mask-based probe is held to.
+    #[cfg(test)]
+    fn probe_by_tags(&self, core: usize, line: LineAddr) -> Probe {
         if let Some(slot) = self.l1[core].lookup(line) {
             return Probe {
                 level: HitLevel::L1,
@@ -1057,14 +1074,15 @@ impl CacheHierarchy {
         }
         // Promote into the private levels (tag-only; no writeback needed
         // since data lives in the shared slab). A silent private-level
-        // victim keeps its slab entry — only its presence bit dies.
-        if !self.l1[core].contains(line) {
+        // victim keeps its slab entry — only its presence bit dies. The
+        // presence bits say whether this core's arrays hold the line.
+        if !self.slab.test_l1(slot, core) {
             if let Some((_, vslot, _)) = self.l1[core].insert(line, slot, |_| true) {
                 self.slab.clear_l1(vslot, core);
             }
             self.slab.set_l1(slot, core);
         }
-        if !self.l2[core].contains(line) {
+        if !self.slab.test_l2(slot, core) {
             if let Some((_, vslot, _)) = self.l2[core].insert(line, slot, |_| true) {
                 self.slab.clear_l2(vslot, core);
             }
@@ -1173,7 +1191,8 @@ impl CacheHierarchy {
     }
 
     /// Consistency check: every tag-array line must be in the data slab
-    /// (with matching slot ids and presence masks) and every L1/L2 line
+    /// (with matching slot ids and presence masks), every set presence bit
+    /// must have its line in that core's tag array, and every L1/L2 line
     /// must also be in the LLC (inclusivity).
     pub fn check_inclusive(&self) -> bool {
         let llc_ok = self.llc.lines().all(|l| self.slab.slot_of(l).is_some());
@@ -1195,7 +1214,16 @@ impl CacheHierarchy {
                     .is_some_and(|s| self.slab.test_l2(s, c))
             })
         });
-        llc_ok && priv_ok && store_ok && masks_ok
+        // The converse: a set bit names a core whose array holds the line.
+        let bits_ok = self.slab.keys.iter().enumerate().all(|(slot, &l)| {
+            let (slab, slot) = (&self.slab, slot as u32);
+            l == NO_LINE
+                || (0..self.l1.len()).all(|c| {
+                    (!slab.test_l1(slot, c) || self.l1[c].contains(l))
+                        && (!slab.test_l2(slot, c) || self.l2[c].contains(l))
+                })
+        });
+        llc_ok && priv_ok && store_ok && masks_ok && bits_ok
     }
 }
 
@@ -1586,6 +1614,186 @@ mod tests {
         }
         assert_eq!(h.len(), 256);
         assert!(h.check_inclusive());
+    }
+
+    /// The mask-based `probe` answers exactly what walking the tag arrays
+    /// answers — level and slab slot — for every line and core, under
+    /// loads, stores, locks, writebacks and crashes, on a tiny geometry
+    /// (constant evictions at every level), Table 2, and 70 cores (two
+    /// mask words per slot).
+    mod probe_oracle {
+        use super::*;
+        use asap_pmem::PM_BASE;
+        use proptest::prelude::*;
+
+        /// `(core, line)` accesses; `Lock` toggles a cached line's LockBit
+        /// (locked lines resist eviction).
+        #[derive(Clone, Debug)]
+        enum Op {
+            Load(u8, u8),
+            Store(u8, u8),
+            Lock(u8),
+            Writeback(u8),
+            InvalidateAll,
+        }
+
+        /// Distinct lines each geometry draws from.
+        const LINES: u8 = 72;
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                // Crashes are rare enough that a core's set overflows its
+                // L1 before the next one, leaving lines in its L2 alone.
+                12 => (any::<u8>(), 0u8..LINES).prop_map(|(c, l)| Op::Load(c, l)),
+                12 => (any::<u8>(), 0u8..LINES).prop_map(|(c, l)| Op::Store(c, l)),
+                3 => (0u8..LINES).prop_map(Op::Lock),
+                3 => (0u8..LINES).prop_map(Op::Writeback),
+                1 => Just(Op::InvalidateAll),
+            ]
+        }
+
+        #[derive(Clone, Copy, Debug)]
+        enum Geometry {
+            Tiny,
+            Table2,
+            Cores70,
+        }
+
+        impl Geometry {
+            fn config(self) -> SystemConfig {
+                let tiny = |cores| {
+                    let mut cfg = SystemConfig::small();
+                    cfg.cores = cores;
+                    cfg.l1 = CacheConfig {
+                        size_bytes: 4 * 64,
+                        ways: 2,
+                        latency: 4,
+                    };
+                    cfg.l2 = CacheConfig {
+                        size_bytes: 8 * 64,
+                        ways: 2,
+                        latency: 14,
+                    };
+                    cfg.llc = CacheConfig {
+                        size_bytes: 32 * 64,
+                        ways: 4,
+                        latency: 42,
+                    };
+                    cfg
+                };
+                match self {
+                    Geometry::Tiny => tiny(4),
+                    Geometry::Table2 => SystemConfig::table2(),
+                    Geometry::Cores70 => tiny(70),
+                }
+            }
+
+            /// The cores ops run on (both mask words at 70 cores).
+            fn active(self) -> &'static [usize] {
+                match self {
+                    Geometry::Tiny => &[0, 1, 2, 3],
+                    Geometry::Table2 => &[0, 1, 17],
+                    Geometry::Cores70 => &[0, 1, 63, 64, 69],
+                }
+            }
+
+            /// The cores probed after every op: the active ones plus idle
+            /// ones, which see only LLC and remote hits.
+            fn probed(self) -> &'static [usize] {
+                match self {
+                    Geometry::Tiny => &[0, 1, 2, 3],
+                    Geometry::Table2 => &[0, 1, 2, 17],
+                    Geometry::Cores70 => &[0, 1, 2, 63, 64, 65, 69],
+                }
+            }
+
+            fn line(self, i: u8) -> LineAddr {
+                let i = u64::from(i);
+                match self {
+                    // Three groups of 24 lines, each group in one LLC set
+                    // and one L2 set, so every level evicts.
+                    Geometry::Table2 => LineAddr(PM_BASE / 64 + (i % 3) * 112 + (i / 3) * 8192),
+                    _ => LineAddr(PM_BASE / 64 + i),
+                }
+            }
+        }
+
+        fn apply(h: &mut CacheHierarchy, g: Geometry, op: &Op) {
+            let access = |h: &mut CacheHierarchy, core: u8, line: u8, kind| {
+                let core = g.active()[core as usize % g.active().len()];
+                let l = g.line(line);
+                let fill = (h.probe_by_tags(core, l).level == HitLevel::Memory)
+                    .then_some(([line; LINE_SIZE], line.is_multiple_of(2)));
+                h.access(core, l, kind, fill, 100);
+                l
+            };
+            match *op {
+                Op::Load(core, line) => {
+                    access(h, core, line, AccessKind::Load);
+                }
+                Op::Store(core, line) => {
+                    let l = access(h, core, line, AccessKind::Store);
+                    h.line_mut(l).expect("filled").dirty = true;
+                }
+                Op::Lock(line) => {
+                    if let Some(st) = h.line_mut(g.line(line)) {
+                        st.lock_bit = !st.lock_bit;
+                    }
+                }
+                Op::Writeback(line) => {
+                    h.writeback_copy(g.line(line));
+                }
+                Op::InvalidateAll => h.invalidate_all(),
+            }
+        }
+
+        fn check(g: Geometry, ops: &[Op]) -> Result<(), TestCaseError> {
+            let mut h = CacheHierarchy::new(&g.config());
+            for op in ops {
+                apply(&mut h, g, op);
+                prop_assert!(h.check_inclusive(), "not inclusive after {:?}", op);
+                for i in 0..LINES {
+                    let l = g.line(i);
+                    for &core in g.probed() {
+                        let (got, want) = (h.probe(core, l), h.probe_by_tags(core, l));
+                        prop_assert_eq!(
+                            (got.level, got.slot),
+                            (want.level, want.slot),
+                            "core {} line {} after {:?}",
+                            core,
+                            i,
+                            op
+                        );
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            #[test]
+            fn mask_probe_matches_tag_walk_tiny(
+                ops in proptest::collection::vec(op_strategy(), 1..160),
+            ) {
+                check(Geometry::Tiny, &ops)?;
+            }
+
+            #[test]
+            fn mask_probe_matches_tag_walk_table2(
+                ops in proptest::collection::vec(op_strategy(), 1..160),
+            ) {
+                check(Geometry::Table2, &ops)?;
+            }
+
+            #[test]
+            fn mask_probe_matches_tag_walk_70_cores(
+                ops in proptest::collection::vec(op_strategy(), 1..160),
+            ) {
+                check(Geometry::Cores70, &ops)?;
+            }
+        }
     }
 
     /// Backward-shift deletion keeps the open-addressed index correct

@@ -8,13 +8,16 @@
 //! §5.1 traffic optimizations (LPO dropping, DPO dropping) and then never
 //! cost PM write traffic.
 //!
-//! Host-side hot-path structure: the WPQ is a seq-ordered `VecDeque` whose
-//! front is always the in-flight entry (drain picks the minimum sequence
-//! number, which is the front of a FIFO), and every channel keeps a
-//! line-address index over all of its *live* ops — on the wire, queued
-//! behind a full WPQ, or resting in the WPQ — so store-forwarding reads
+//! Host-side hot-path structure: every channel keeps each of its *live*
+//! ops — on the wire, queued behind a full WPQ, or resting in the WPQ —
+//! in one slab node, from submit until the op is written, dropped or
+//! flushed. The arrival event, the pending queue and the WPQ carry the
+//! node's `u32` handle, so an op's 64 data bytes are stored once. The
+//! nodes are also a line-address index, so store-forwarding reads
 //! ([`MemSystem::read_for_fill`]) are one hash lookup instead of a scan of
-//! the WPQ, the pending queue, and the whole event queue.
+//! the WPQ, the pending queue, and the whole event queue. The WPQ is a
+//! seq-ordered `VecDeque` whose front is always the in-flight entry (drain
+//! picks the minimum sequence number, which is the front of a FIFO).
 
 use std::collections::VecDeque;
 
@@ -29,8 +32,8 @@ use crate::rid::Rid;
 /// An accepted WPQ entry.
 #[derive(Clone, Debug)]
 struct WpqSlot {
-    id: OpId,
-    op: PersistOp,
+    /// The op's node in the channel's slab.
+    node: u32,
     /// FIFO drain order within the channel.
     seq: u64,
     /// Acceptance time (drains after the residency window).
@@ -64,7 +67,8 @@ fn pm_write_counter(kind: PersistKind) -> Counter {
 /// Internal channel events.
 #[derive(Clone, Debug)]
 enum ChEvent {
-    Arrive(OpId, PersistOp, Cycle),
+    /// The op in this slab node reaches its controller.
+    Arrive(u32),
     WriteDone(OpId),
     /// Residency expiry check: start draining if an entry is overdue.
     DrainCheck,
@@ -73,14 +77,15 @@ enum ChEvent {
 /// Freelist/list terminator for the store-forward node slab.
 const FWD_NIL: u32 = u32::MAX;
 
-/// One node of a per-line store-forward list, slab-allocated so indexing
-/// and unindexing an op never touches the heap at steady state (the old
-/// layout kept a `Vec` per live line, paying an allocation and a free for
-/// every single-op line — i.e. for almost every persist op).
+/// A live op's only home, and one node of its line's store-forward list;
+/// slab-allocated so submitting and retiring an op never touches the heap
+/// at steady state.
 #[derive(Clone, Debug)]
 struct FwdNode {
     id: OpId,
-    data: [u8; 64],
+    op: PersistOp,
+    /// Submit time, the start of the persist-latency sample.
+    submitted: Cycle,
     /// Next (newer) op targeting the same line, or [`FWD_NIL`].
     next: u32,
 }
@@ -94,9 +99,9 @@ struct Channel {
     /// sequence number, acceptance appends increasing sequence numbers, and
     /// drops never remove the in-flight entry.
     wpq: VecDeque<WpqSlot>,
-    /// Arrived while the WPQ was full; accepted as slots free (FIFO).
-    /// Each entry remembers its original submit time.
-    pending: VecDeque<(OpId, PersistOp, Cycle)>,
+    /// Nodes of ops that arrived while the WPQ was full; accepted as
+    /// slots free (FIFO).
+    pending: VecDeque<u32>,
     /// Entry currently being written to the media, if any.
     writing: Option<OpId>,
     next_seq: u64,
@@ -106,7 +111,7 @@ struct Channel {
     /// is the tail node. Maintained on submit, media write, drop, and
     /// crash flush.
     by_line: AddrMap<LineAddr, (u32, u32)>,
-    /// Node arena for `by_line`, recycled through `fwd_free`.
+    /// Node arena holding every live op, recycled through `fwd_free`.
     fwd_nodes: Vec<FwdNode>,
     fwd_free: Vec<u32>,
 }
@@ -129,12 +134,15 @@ impl Channel {
         self.wpq.len() < self.capacity
     }
 
-    /// Adds an op to the store-forward index. Ids are monotonic, so
+    /// Stores a submitted op in a slab node and adds it to the
+    /// store-forward index, returning the node. Ids are monotonic, so
     /// appending at the tail keeps each per-line list sorted by id.
-    fn index(&mut self, line: LineAddr, id: OpId, data: [u8; 64]) {
+    fn index(&mut self, id: OpId, op: PersistOp, submitted: Cycle) -> u32 {
+        let line = op.target;
         let node = FwdNode {
             id,
-            data,
+            op,
+            submitted,
             next: FWD_NIL,
         };
         let n = match self.fwd_free.pop() {
@@ -157,29 +165,33 @@ impl Channel {
                 v.insert((n, n));
             }
         }
+        n
+    }
+
+    /// The op held by live node `n`.
+    #[inline]
+    fn op(&self, n: u32) -> &PersistOp {
+        &self.fwd_nodes[n as usize].op
     }
 
     /// The newest live write to `line`, if any.
     fn newest(&self, line: LineAddr) -> Option<&[u8; 64]> {
         let (_, tail) = self.by_line.get(&line)?;
-        Some(&self.fwd_nodes[*tail as usize].data)
+        Some(&self.op(*tail).data)
     }
 
-    /// Removes one op from the store-forward index (it left the live set).
-    /// Per-line lists are short (usually one node: a drained op is the
-    /// oldest for its line, i.e. the head), so the walk is effectively
-    /// constant time.
-    fn unindex(&mut self, line: LineAddr, id: OpId) {
+    /// Frees node `n` and removes its op from the store-forward index (it
+    /// left the live set). Per-line lists are short (usually one node: a
+    /// drained op is the oldest for its line, i.e. the head), so the walk
+    /// is effectively constant time.
+    fn unindex(&mut self, n: u32) {
+        let line = self.op(n).target;
         let &(head, tail) = self.by_line.get(&line).expect("live op must be indexed");
         let mut prev = FWD_NIL;
         let mut cur = head;
-        loop {
-            let n = &self.fwd_nodes[cur as usize];
-            if n.id == id {
-                break;
-            }
+        while cur != n {
             prev = cur;
-            cur = n.next;
+            cur = self.fwd_nodes[cur as usize].next;
             assert_ne!(cur, FWD_NIL, "live op must be indexed");
         }
         let next = self.fwd_nodes[cur as usize].next;
@@ -340,11 +352,9 @@ impl MemSystem {
         self.next_id += 1;
         let ch = self.channel_of(op.target);
         self.stats.bump(submit_counter(op.kind));
-        self.channels[ch as usize].index(op.target, id, op.data);
-        self.events.push(
-            now + self.cfg.mc_hop_latency,
-            (ch, ChEvent::Arrive(id, op, now)),
-        );
+        let node = self.channels[ch as usize].index(id, op, now);
+        self.events
+            .push(now + self.cfg.mc_hop_latency, (ch, ChEvent::Arrive(node)));
         id
     }
 
@@ -433,14 +443,7 @@ impl MemSystem {
 
     /// Accepts a pending arrival into a slot a drop just freed (never
     /// writes media, so no image is needed).
-    fn accept_refill(
-        &mut self,
-        t: Cycle,
-        ch_idx: usize,
-        id: OpId,
-        op: PersistOp,
-        submitted: Cycle,
-    ) {
+    fn accept_refill(&mut self, t: Cycle, ch_idx: usize, node: u32) {
         let mut fx = DirectFx {
             out: &mut self.out,
             image: None,
@@ -450,15 +453,7 @@ impl MemSystem {
             events: &mut self.events,
             channel: ch_idx as u32,
         };
-        accept_ch(
-            &self.cfg,
-            &mut self.channels[ch_idx],
-            &mut fx,
-            t,
-            id,
-            op,
-            submitted,
-        );
+        accept_ch(&self.cfg, &mut self.channels[ch_idx], &mut fx, t, node);
     }
 
     /// Drops a committed region's log writes (LPOs and log headers) still
@@ -489,33 +484,36 @@ impl MemSystem {
     /// Removes all non-in-flight WPQ slots matching `pred`; frees slots are
     /// refilled from the pending queue. Dropped ops emit no events.
     fn drop_matching(&mut self, ch_idx: usize, pred: impl Fn(&PersistOp) -> bool) -> u64 {
-        let writing = self.channels[ch_idx].writing;
-        let mut removed: Vec<(LineAddr, OpId)> = Vec::new();
-        self.channels[ch_idx].wpq.retain(|s| {
-            if Some(s.id) == writing || !pred(&s.op) {
+        let ch = &mut self.channels[ch_idx];
+        let writing = ch.writing;
+        let nodes = &ch.fwd_nodes;
+        let mut removed: Vec<u32> = Vec::new();
+        ch.wpq.retain(|s| {
+            let n = &nodes[s.node as usize];
+            if Some(n.id) == writing || !pred(&n.op) {
                 true
             } else {
-                removed.push((s.op.target, s.id));
+                removed.push(s.node);
                 false
             }
         });
         let dropped = removed.len() as u64;
-        for (line, id) in removed {
-            self.channels[ch_idx].unindex(line, id);
+        for n in removed {
+            ch.unindex(n);
         }
         for _ in 0..dropped {
             if !self.channels[ch_idx].has_free_slot() {
                 break;
             }
             match self.channels[ch_idx].pending.pop_front() {
-                Some((pid, pop, psub)) => {
+                Some(node) => {
                     // Accept at the time the channel last made progress; we
                     // use the next event horizon conservatively: acceptance
                     // is immediate bookkeeping, timestamped "now-ish" via
                     // the earliest pending event or zero. The scheme only
                     // cares about ordering, which is preserved.
                     let t = self.events.peek_time().unwrap_or(Cycle::ZERO);
-                    self.accept_refill(t, ch_idx, pid, pop, psub);
+                    self.accept_refill(t, ch_idx, node);
                 }
                 None => break,
             }
@@ -536,7 +534,8 @@ impl MemSystem {
                 .zip(slots.iter().skip(1))
                 .all(|(a, b)| a.seq < b.seq));
             for s in &slots {
-                image.write_line(s.op.target, &s.op.data);
+                let op = ch.op(s.node);
+                image.write_line(op.target, &op.data);
                 self.stats.bump(Counter::CrashFlushed);
             }
             let lost = ch.pending.len() as u64;
@@ -579,9 +578,9 @@ impl MemSystem {
         &self.stats
     }
 
-    /// High-water mark of the store-forward node slab across channels.
-    /// The slab only grows (freed nodes go to a freelist), so its length
-    /// *is* the high-water mark of concurrently live ops per channel.
+    /// High-water mark of the op node slab across channels. The slab only
+    /// grows (freed nodes go to a freelist), so its length *is* the
+    /// high-water mark of concurrently live ops per channel.
     pub fn fwd_slab_hwm(&self) -> u64 {
         self.channels
             .iter()
@@ -658,11 +657,11 @@ impl DirectFx<'_> {
 /// Handles one channel event.
 fn handle_ch(cfg: &MemConfig, ch: &mut Channel, fx: &mut DirectFx<'_>, t: Cycle, ev: ChEvent) {
     match ev {
-        ChEvent::Arrive(id, op, submitted) => {
+        ChEvent::Arrive(node) => {
             if ch.has_free_slot() {
-                accept_ch(cfg, ch, fx, t, id, op, submitted);
+                accept_ch(cfg, ch, fx, t, node);
             } else {
-                ch.pending.push_back((id, op, submitted));
+                ch.pending.push_back(node);
                 fx.stats.bump(Counter::MemWpqFullArrival);
             }
             maybe_start_write_ch(cfg, ch, fx, t);
@@ -671,30 +670,30 @@ fn handle_ch(cfg: &MemConfig, ch: &mut Channel, fx: &mut DirectFx<'_>, t: Cycle,
             debug_assert_eq!(ch.writing, Some(id), "write-done for wrong op");
             ch.writing = None;
             let slot = ch.wpq.pop_front().expect("in-flight slot missing");
-            debug_assert_eq!(slot.id, id, "in-flight slot must be the front");
-            ch.unindex(slot.op.target, slot.id);
-            fx.write_line(slot.op.target, &slot.op.data);
-            fx.stats.bump(pm_write_counter(slot.op.kind));
+            let op = *ch.op(slot.node);
+            debug_assert_eq!(
+                ch.fwd_nodes[slot.node as usize].id, id,
+                "in-flight slot must be the front"
+            );
+            ch.unindex(slot.node);
+            fx.write_line(op.target, &op.data);
+            fx.stats.bump(pm_write_counter(op.kind));
             fx.stats.bump(Counter::PmWriteTotal);
-            fx.hot_line(slot.op.target);
+            fx.hot_line(op.target);
             let residency = t.since(slot.accepted_at);
             fx.stats.sample(Dist::MemWpqResidencyCycles, residency);
             fx.trace(
                 t,
                 TraceEvent::WpqDrain {
                     channel: fx.channel,
-                    kind: slot.op.kind.name(),
+                    kind: op.kind.name(),
                     residency,
                 },
             );
-            fx.emit(MemEvent::PmWritten {
-                id: slot.id,
-                op: slot.op,
-                at: t,
-            });
+            fx.emit(MemEvent::PmWritten { id, op, at: t });
             // A slot freed: accept the oldest pending arrival, if any.
-            if let Some((pid, pop, psub)) = ch.pending.pop_front() {
-                accept_ch(cfg, ch, fx, t, pid, pop, psub);
+            if let Some(node) = ch.pending.pop_front() {
+                accept_ch(cfg, ch, fx, t, node);
             }
             maybe_start_write_ch(cfg, ch, fx, t);
         }
@@ -704,25 +703,20 @@ fn handle_ch(cfg: &MemConfig, ch: &mut Channel, fx: &mut DirectFx<'_>, t: Cycle,
     }
 }
 
-/// Accepts an op into the channel's WPQ — the §4.1 durability point.
-fn accept_ch(
-    cfg: &MemConfig,
-    ch: &mut Channel,
-    fx: &mut DirectFx<'_>,
-    t: Cycle,
-    id: OpId,
-    op: PersistOp,
-    submitted: Cycle,
-) {
+/// Accepts the op in `node` into the channel's WPQ — the §4.1
+/// durability point.
+fn accept_ch(cfg: &MemConfig, ch: &mut Channel, fx: &mut DirectFx<'_>, t: Cycle, node: u32) {
     debug_assert!(ch.has_free_slot());
     let seq = ch.next_seq;
     ch.next_seq += 1;
     ch.wpq.push_back(WpqSlot {
-        id,
-        op,
+        node,
         seq,
         accepted_at: t,
     });
+    let FwdNode {
+        id, op, submitted, ..
+    } = ch.fwd_nodes[node as usize];
     fx.stats.sample(Dist::MemWpqOccupancy, ch.wpq.len() as u64);
     // Persist latency: submit to persistence-domain acceptance (the
     // durability point under ADR, §4.1).
@@ -763,7 +757,7 @@ fn maybe_start_write_ch(cfg: &MemConfig, ch: &mut Channel, fx: &mut DirectFx<'_>
         || ch.wpq.len() >= cfg.wpq_drain_watermark as usize
         || slot.accepted_at + residency <= t;
     if due {
-        let id = slot.id;
+        let id = ch.fwd_nodes[slot.node as usize].id;
         ch.writing = Some(id);
         fx.push_event(t + cfg.pm_write_service(), ChEvent::WriteDone(id));
     }
@@ -1136,6 +1130,13 @@ mod tests {
         // out the residency.
         mem.advance_to(Cycle(5_000), &mut image);
         assert!(mem.stats().get(Counter::PmWriteTotal) >= 2);
+    }
+
+    /// An event is a channel index plus a node handle or an op id; the
+    /// micro benches' `event_queue_*` payloads (`[u64; 3]`) match it.
+    #[test]
+    fn channel_events_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<(u32, ChEvent)>(), 24);
     }
 
     #[test]

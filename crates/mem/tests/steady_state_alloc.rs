@@ -1,7 +1,7 @@
 //! Steady-state hot paths perform no heap allocation.
 //!
 //! The data-oriented core (slab-arena cache store, inline SoA tag sets,
-//! event heap over a payload slab, slab-allocated WPQ forward index,
+//! event heap of inline entries, WPQ ops held in a per-channel node slab,
 //! fixed-slot statistics) exists so the per-access/per-op simulator loop
 //! never touches the allocator once its arenas are warm, and so restoring
 //! a cache snapshot, an event queue or a statistics registry reuses the
@@ -65,8 +65,8 @@ fn dpo(line: LineAddr, v: u8) -> PersistOp {
 fn steady_state_hot_paths_do_not_allocate() {
     let cfg = SystemConfig::small();
 
-    // --- EventQueue: push/pop churn within the warmed heap, slab and free
-    // list. The first pass sizes them; the identical second pass must run
+    // --- EventQueue: push/pop churn of inline entries within the warmed
+    // heap. The first pass sizes it; the identical second pass must run
     // entirely out of that capacity.
     let mut q: EventQueue<u64> = EventQueue::new();
     let churn_queue = |q: &mut EventQueue<u64>| {
@@ -83,7 +83,7 @@ fn steady_state_hot_paths_do_not_allocate() {
 
     // --- EventQueue restore: `clone_from` a churned queue with events
     // pending into the warmed one, as a crash sweep refreshes its copy of
-    // the machine. It overwrites the heap, slab and free list in place.
+    // the machine. It overwrites the heap's entries in place.
     let mut src: EventQueue<u64> = EventQueue::new();
     churn_queue(&mut src);
     for i in 0..128u64 {
@@ -122,9 +122,10 @@ fn steady_state_hot_paths_do_not_allocate() {
 
     // --- Cache hierarchy restore: `clone_from` a snapshot back into the
     // live hierarchy, the crash sweep's per-fork step. It overwrites the
-    // slab, its index and the tag chunk tables in place, so once the first
+    // slab, its index and the tag chunks in place, so once the first
     // restore has sized them the second allocates nothing — on the Table 2
-    // geometry too, whose tag arrays share chunks with the snapshot.
+    // geometry too, whose owned tag chunks are copied into the chunks the
+    // first restore made (the churn between them only adds chunks).
     for cfg in [SystemConfig::small(), SystemConfig::table2()] {
         let mut caches = CacheHierarchy::new(&cfg);
         let churn_two_cores = |caches: &mut CacheHierarchy, offset: u64| {
@@ -148,8 +149,9 @@ fn steady_state_hot_paths_do_not_allocate() {
         assert_eq!(n, 0, "{} cores: cache restore must not allocate", cfg.cores);
     }
 
-    // --- MemSystem: WPQ submit/drain churn over a warmed channel (the
-    // forward-index nodes recycle through the channel freelist). Every
+    // --- MemSystem: WPQ submit/drain churn over a warmed channel (each
+    // op's slab node, its only home from submit to media write, recycles
+    // through the channel freelist). Every
     // round has the same shape — 32 submits 50 cycles apart, then an
     // advance far enough to drain them all — so the warm-up pass sizes
     // exactly the event-queue and channel capacity the measured pass

@@ -1,24 +1,25 @@
-//! Copy-on-write isolation of cache-hierarchy snapshots.
+//! Isolation of cache-hierarchy snapshots.
 //!
-//! The tag arrays share fixed-size chunks of sets between a hierarchy and
-//! its clones, and copy a chunk only on the first write to it. This is the
-//! cache counterpart of the PM image's CoW-vs-eager proptest: random access
-//! sequences run on a live hierarchy that is snapshotted (`clone`), churned,
-//! crashed (`invalidate_all`) and restored (`clone_from`), and every state
-//! must equal a fresh hierarchy that replays the same ops from scratch.
+//! Each tag array owns its chunks of sets: a snapshot (`clone`) deep-copies
+//! the chunks that exist, and a restore (`clone_from`) copies them into the
+//! destination's chunks in place. These checks hold that to the PM image's
+//! standard (its CoW-vs-eager proptest): random access sequences run on a
+//! live hierarchy that is snapshotted, churned, crashed (`invalidate_all`)
+//! and restored, and every state must equal a fresh hierarchy that replays
+//! the same ops from scratch.
 //!
 //! 1. After more live accesses and a crash, the snapshot still equals a
-//!    replay of the prefix: no write to the live side reached a shared
-//!    chunk.
+//!    replay of the prefix: no write to the live side reached the
+//!    snapshot's chunks.
 //! 2. After restoring the snapshot and running a second suffix, the live
 //!    hierarchy equals a replay of prefix + that suffix, and the snapshot
 //!    still equals the prefix.
 //! 3. A hierarchy restored from that live one keeps its state while the
 //!    live one runs on.
 //! 4. Restoring the snapshot again, with no crash first, onto the live
-//!    hierarchy while it holds chunks it wrote itself, then running the
-//!    second suffix, again gives prefix + suffix, and the snapshot still
-//!    equals the prefix.
+//!    hierarchy while it holds chunks it wrote itself (which the restore
+//!    overwrites in place or drops), then running the second suffix, again
+//!    gives prefix + suffix, and the snapshot still equals the prefix.
 //!
 //! Two geometries: the tiny caches of `functional_equivalence.rs` (one
 //! chunk per array, constant evictions), and Table 2 with two active
@@ -191,7 +192,7 @@ fn check(g: Geometry, prefix: &[Op], suffix1: &[Op], suffix2: &[Op]) -> Result<(
     same(&live, &want, g)?;
     same(&snap, &want_prefix, g)?;
 
-    // Restoring *from* a written hierarchy shares its chunks too: the
+    // Restoring *from* a written hierarchy copies its chunks too: the
     // copy must not see the source's later writes.
     let mut copy = CacheHierarchy::new(&g.config());
     copy.clone_from(&live);
@@ -201,7 +202,7 @@ fn check(g: Geometry, prefix: &[Op], suffix1: &[Op], suffix2: &[Op]) -> Result<(
     same(&copy, &want, g)?;
 
     // A restore with no crash before it: `live` holds chunks of its own,
-    // and every one that differs from the snapshot's must be re-pointed.
+    // and every one must be overwritten with the snapshot's or dropped.
     live.clone_from(&snap);
     for op in suffix2 {
         apply(&mut live, g, op);

@@ -8,13 +8,21 @@
 //! map behaviour is identical across processes — a property the parallel
 //! figure harness relies on when asserting serial and parallel runs agree.
 //!
-//! Only use these maps where iteration order does not reach simulated
-//! behaviour (lookups, membership, order-free folds).
+//! Every hashed map or set in simulated state (`asap-core`, `asap-mem`,
+//! `asap-pmem` and `asap-sim` outside tests) is an [`AddrMap`] or an
+//! [`AddrSet`]: a std `HashMap`'s `RandomState` reseeds in every process,
+//! so it costs a SipHash per lookup and would make any iteration order
+//! that reached simulated state differ run to run. A tier-1 source scan
+//! (`crates/bench/tests/sim_state_maps.rs`) fails on a std `HashMap`,
+//! `HashSet` or `RandomState` there; this module, which defines the
+//! aliases, is its only exemption. Even seed-free, iteration order follows
+//! the table's capacity history, so only use these maps where it does not
+//! reach simulated behaviour (lookups, membership, order-free folds).
 //!
 //! [`LineAddr`]: crate::addr::LineAddr
 //! [`PmAddr`]: crate::addr::PmAddr
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-xor hasher for small fixed-size keys (Fibonacci multiplier,
@@ -62,6 +70,9 @@ pub type AddrBuildHasher = BuildHasherDefault<AddrHasher>;
 
 /// A `HashMap` using the deterministic address hasher.
 pub type AddrMap<K, V> = HashMap<K, V, AddrBuildHasher>;
+
+/// A `HashSet` using the deterministic address hasher.
+pub type AddrSet<K> = HashSet<K, AddrBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -36,6 +36,6 @@ pub mod heap;
 pub mod image;
 
 pub use addr::{LineAddr, PmAddr, DRAM_BASE, LINE_BYTES, PAGE_BYTES, PM_BASE};
-pub use hash::{AddrBuildHasher, AddrHasher, AddrMap};
+pub use hash::{AddrBuildHasher, AddrHasher, AddrMap, AddrSet};
 pub use heap::{AllocError, RangeAllocator};
 pub use image::{ImageStats, MemoryImage};

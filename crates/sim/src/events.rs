@@ -1,14 +1,14 @@
 //! A stable min-priority event queue keyed by [`Cycle`].
 //!
-//! A `std` binary heap of `(time, insertion-seq, slot)` keys over a payload
-//! slab. Events pop in `(time, insertion-seq)` order; `seq` is unique, so
-//! the slot only names where the payload is stored and never decides the
-//! order. The heap moves 24-byte keys instead of whole payloads, and both
-//! the heap and the slab (with its free list of slots) keep their
+//! A `std` binary heap of `(time, insertion-seq, payload)` entries. Events
+//! pop in `(time, insertion-seq)` order; `seq` is unique, so the payload
+//! never decides the order and needs no ordering of its own. Payloads are
+//! small (the memory system's is a channel index plus a `u32` op handle
+//! or an op id), so the heap moves them inline; the heap keeps its
 //! capacity, so steady-state traffic performs no heap allocation. A
 //! `tests`-side proptest holds the queue to a linear-scan oracle.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::clock::Cycle;
@@ -31,32 +31,53 @@ use crate::clock::Cycle;
 /// assert_eq!(order, ['z', 'x', 'y']);
 /// ```
 pub struct EventQueue<E> {
-    /// Min-heap of `(at, seq, slot)` keys, one per pending event.
-    heap: BinaryHeap<Reverse<(Cycle, u64, u32)>>,
-    /// Payloads by slot; `None` marks a free slot.
-    slab: Vec<Option<E>>,
-    /// Free slots of `slab`, reused before it grows.
-    free: Vec<u32>,
+    /// One entry per pending event.
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
 }
 
-/// `clone_from` reuses the destination's heap, slab and free-list buffers
-/// (a derived `clone_from` would reallocate all three), which keeps
-/// repeated restores into the same scratch machine allocation-free.
+/// A pending event. Ordered by `(at, seq)` alone, reversed, so the
+/// `std` max-heap pops the earliest event first.
+#[derive(Clone)]
+struct Entry<E> {
+    at: Cycle,
+    seq: u64,
+    payload: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// `clone_from` reuses the destination's heap buffer (a derived
+/// `clone_from` would reallocate it), which keeps repeated restores into
+/// the same scratch machine allocation-free.
 impl<E: Clone> Clone for EventQueue<E> {
     fn clone(&self) -> Self {
         EventQueue {
             heap: self.heap.clone(),
-            slab: self.slab.clone(),
-            free: self.free.clone(),
             next_seq: self.next_seq,
         }
     }
 
     fn clone_from(&mut self, src: &Self) {
         self.heap.clone_from(&src.heap);
-        self.slab.clone_from(&src.slab);
-        self.free.clone_from(&src.free);
         self.next_seq = src.next_seq;
     }
 }
@@ -66,8 +87,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -76,26 +95,12 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: Cycle, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(payload);
-                slot
-            }
-            None => {
-                self.slab.push(Some(payload));
-                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
-            }
-        };
-        self.heap.push(Reverse((at, seq, slot)));
+        self.heap.push(Entry { at, seq, payload });
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let Reverse((at, _, slot)) = self.heap.pop()?;
-        let payload = self.slab[slot as usize]
-            .take()
-            .expect("a pending key's slot holds its payload");
-        self.free.push(slot);
+        let Entry { at, payload, .. } = self.heap.pop()?;
         Some((at, payload))
     }
 
@@ -112,7 +117,7 @@ impl<E> EventQueue<E> {
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of pending events.

@@ -419,18 +419,6 @@ impl Stats {
         self.summaries.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Merges another registry into this one. Counters add; distributions
-    /// merge per bucket, so merged quantiles equal quantiles of the
-    /// concatenated samples.
-    pub fn merge(&mut self, other: &Stats) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &other.summaries {
-            self.summaries.entry(k.clone()).or_default().merge_from(h);
-        }
-    }
-
     /// Renders the whole registry losslessly (counters verbatim, each
     /// distribution via [`Histogram::to_exact_json`]), compact and
     /// canonical: [`Stats::from_exact_json`] reconstructs an identical
@@ -813,23 +801,6 @@ mod tests {
             s.record(1_000_000);
         }
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_combines_both_kinds() {
-        let mut a = Stats::new();
-        a.add("c", 1);
-        a.sample("s", 5);
-        let mut b = Stats::new();
-        b.add("c", 2);
-        b.sample("s", 15);
-        b.sample("t", 1);
-        a.merge(&b);
-        assert_eq!(a.get("c"), 3);
-        let s = a.summary("s").unwrap();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.sum, 20);
-        assert_eq!(a.summary("t").unwrap().count, 1);
     }
 
     #[test]
