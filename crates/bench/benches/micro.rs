@@ -82,27 +82,6 @@ fn bench_events() {
         }
         while q.pop().is_some() {}
     });
-
-    // Near the depth real queues run at: the benchmark's `fig7_cold` holds
-    // 89 events pending on average at each push and `slow_pm` 57
-    // (DESIGN.md §3). 128 near-future events stay pending; each iteration
-    // pushes one 16–4111 cycles out and pops the earliest.
-    let mut q: EventQueue<[u64; 3]> = EventQueue::new();
-    let mut t = 0u64;
-    let mut push_next = |q: &mut EventQueue<[u64; 3]>| {
-        t += 13;
-        q.push(
-            Cycle(t + 16 + t.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 4096),
-            [t; 3],
-        );
-    };
-    for _ in 0..128 {
-        push_next(&mut q);
-    }
-    bench("event_queue_depth_128", || {
-        push_next(&mut q);
-        black_box(q.pop());
-    });
 }
 
 fn bench_cache() {
@@ -466,17 +445,37 @@ fn bench_sweep() {
 }
 
 fn bench_transaction() {
-    let mut m = Machine::new(MachineConfig::small(SchemeKind::Asap, 1));
-    let a = m.pm_alloc(64 * 16).unwrap();
-    let mut i = 0u64;
-    bench("asap_small_transaction", || {
-        i += 1;
-        m.run_thread(0, |ctx| {
-            ctx.begin_region();
-            ctx.write_u64(a.offset(i % 16 * 64), i);
-            ctx.end_region();
+    // One region per iteration on a small-config machine, per scheme:
+    // a one-line (64 B) write, and a 2 KB write of 32 lines, which
+    // exercises the scheme's per-region line and op sets.
+    for (name, kind) in [
+        ("sw_undo", SchemeKind::SwUndo),
+        ("hw_undo", SchemeKind::HwUndo),
+        ("hw_redo", SchemeKind::HwRedo),
+        ("asap", SchemeKind::Asap),
+    ] {
+        let mut m = Machine::new(MachineConfig::small(kind, 1));
+        let a = m.pm_alloc(64 * 16).unwrap();
+        let mut i = 0u64;
+        bench(&format!("{name}_small_transaction"), || {
+            i += 1;
+            m.run_thread(0, |ctx| {
+                ctx.begin_region();
+                ctx.write_u64(a.offset(i % 16 * 64), i);
+                ctx.end_region();
+            });
         });
-    });
+        let b = m.pm_alloc(2048 * 4).unwrap();
+        let value = [0x5au8; 2048];
+        bench_with(&format!("{name}_2kb_transaction"), 200, 2_000, || {
+            i += 1;
+            m.run_thread(0, |ctx| {
+                ctx.begin_region();
+                ctx.write_bytes(b.offset(i % 4 * 2048), &value);
+                ctx.end_region();
+            });
+        });
+    }
 }
 
 fn main() {

@@ -796,21 +796,31 @@ impl Machine {
         self.hw.stats.bump(Counter::MachineContextSwitch);
     }
 
-    /// Architectural read of a `u64` (debug/verification — no timing).
+    /// Architectural read of a `u64` (debug/verification — no timing),
+    /// straight from the image when it is current (see
+    /// [`debug_read`](Self::debug_read)).
     pub fn debug_read_u64(&mut self, addr: PmAddr) -> u64 {
+        if self.image_is_current() {
+            return self.hw.image.read_u64(addr);
+        }
         let mut b = [0u8; 8];
         self.debug_read(addr, &mut b);
         u64::from_le_bytes(b)
     }
 
+    /// Whether the image holds every line's newest value: the caches are
+    /// empty and no persist op is live. Every crashed or recovered machine
+    /// is in that state, which is where structural verification does its
+    /// reads.
+    fn image_is_current(&self) -> bool {
+        self.hw.caches.is_empty() && self.hw.mem.forwards_nothing()
+    }
+
     /// Architectural read of a byte span (debug/verification — no timing).
     ///
-    /// With the caches empty and no persist op live, the image holds every
-    /// line's newest value, so the span is read from it directly. Every
-    /// crashed or recovered machine is in that state, which is where
-    /// structural verification does its reads.
+    /// When the image is current, the span is read from it directly.
     pub fn debug_read(&mut self, addr: PmAddr, buf: &mut [u8]) {
-        if self.hw.caches.is_empty() && self.hw.mem.forwards_nothing() {
+        if self.image_is_current() {
             self.hw.image.read(addr, buf);
             return;
         }
@@ -1285,6 +1295,7 @@ impl std::fmt::Debug for ThreadCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asap_pmem::PAGE_BYTES;
 
     fn machine(kind: SchemeKind) -> Machine {
         Machine::new(MachineConfig::small(kind, 2).with_tracking())
@@ -1701,14 +1712,52 @@ mod tests {
             if kind == SchemeKind::Asap {
                 assert!(!m.hw().mem.forwards_nothing());
             }
+            // A u64 across a page boundary, which is also a line boundary.
+            let c = m.pm_alloc(2 * PAGE_BYTES).unwrap();
+            let straddle = PmAddr((c.0 / PAGE_BYTES + 1) * PAGE_BYTES - 4);
+            m.run_thread(0, |ctx| {
+                ctx.begin_region();
+                ctx.write_u64(straddle, 0x0123_4567_89ab_cdef);
+                ctx.end_region();
+            });
             m.crash_now();
             assert_heap_reads_match_lines(&mut m, &format!("{kind} crashed"));
+            assert_u64_reads_match_lines(&mut m, straddle, &format!("{kind} crashed"));
             m.recover();
             assert_heap_reads_match_lines(&mut m, &format!("{kind} recovered"));
+            assert_u64_reads_match_lines(&mut m, straddle, &format!("{kind} recovered"));
             if kind == SchemeKind::Asap {
                 // Recovery kept some of the writes: the lines compared
                 // above were not all zero.
                 assert_ne!(m.debug_read_u64(b.offset(64)), 0);
+            }
+        }
+    }
+
+    /// `m`, which must have no cached line and no live persist op, reads
+    /// the same `u64`s through `debug_read_u64` as through the per-line
+    /// path: at `straddle` (across a page boundary), and across the first
+    /// boundary of two pages no write ever touched, which read 0.
+    fn assert_u64_reads_match_lines(m: &mut Machine, straddle: PmAddr, phase: &str) {
+        assert!(m.hw().caches.is_empty() && m.hw().mem.forwards_nothing());
+        let end = m
+            .hw()
+            .heap
+            .live_allocations()
+            .map(|(a, len)| a.0 + len)
+            .max()
+            .unwrap();
+        let untouched = PmAddr((end / PAGE_BYTES + 16) * PAGE_BYTES);
+        for addr in [straddle, untouched, untouched.offset(PAGE_BYTES - 4)] {
+            let mut bytes = [0u8; 8];
+            for (i, b) in bytes.iter_mut().enumerate() {
+                let a = addr.offset(i as u64);
+                *b = m.hw_mut().line_value(a.line())[a.offset_in_line() as usize];
+            }
+            let want = u64::from_le_bytes(bytes);
+            assert_eq!(m.debug_read_u64(addr), want, "{phase} {addr:?}");
+            if addr != straddle {
+                assert_eq!(want, 0, "{phase}: a never-written page reads 0");
             }
         }
     }

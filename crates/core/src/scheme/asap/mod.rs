@@ -26,8 +26,6 @@
 
 pub mod structs;
 
-use std::collections::BTreeMap;
-
 use asap_mem::{BloomFilter, Evicted, MemEvent, OpId, PersistKind, Rid};
 use asap_pmem::{AddrMap, LineAddr};
 use asap_sim::{Counter, Cycle, StallReason, SystemConfig, TraceEvent};
@@ -35,7 +33,7 @@ use asap_sim::{Counter, Cycle, StallReason, SystemConfig, TraceEvent};
 use crate::hw::Hw;
 use crate::logbuf::{LogBuffer, RecordHeader};
 use crate::recovery;
-use crate::scheme::common::{wait_mem, InflightHeaders, LogAcceptTracker};
+use crate::scheme::common::{start_thread, wait_mem, InflightHeaders, LogAcceptTracker};
 use crate::scheme::{AsapOpts, RecoveryReport, Scheme, SchemeGauges, SchemeKind};
 
 use structs::{AddDep, ClLists, ClSlot, DepLists, DpoState, LhWpq};
@@ -76,7 +74,8 @@ pub struct Asap {
     blooms: Vec<BloomFilter>,
     /// The DRAM buffer of §5.3: owner RIDs of evicted uncommitted lines.
     evicted_owners: AddrMap<LineAddr, Rid>,
-    threads: BTreeMap<usize, AsapThread>,
+    /// Indexed by thread id.
+    threads: Vec<AsapThread>,
     meta: AddrMap<Rid, RegionMeta>,
     /// LPO op → the data line whose old value it logs.
     lpo_of: AddrMap<OpId, LineAddr>,
@@ -113,7 +112,7 @@ impl Asap {
                 .map(|_| BloomFilter::new(cfg.asap.bloom_bits))
                 .collect(),
             evicted_owners: AddrMap::default(),
-            threads: BTreeMap::new(),
+            threads: Vec::new(),
             meta: AddrMap::default(),
             lpo_of: AddrMap::default(),
             inflight_headers: InflightHeaders::new(),
@@ -255,11 +254,9 @@ impl Asap {
             self.log_tracker.forget_region(r);
             if let Some(meta) = self.meta.remove(&r) {
                 if meta.has_log {
-                    let th = self
-                        .threads
-                        .get_mut(&(r.thread() as usize))
-                        .expect("thread started");
-                    th.log.free_to(meta.log_end_tail);
+                    self.threads[r.thread() as usize]
+                        .log
+                        .free_to(meta.log_end_tail);
                 }
             }
             if self.opts.lpo_dropping {
@@ -359,13 +356,13 @@ impl Asap {
         now: Cycle,
     ) -> (asap_pmem::PmAddr, Cycle) {
         let mut now = now;
-        if !self.threads[&thread].log.can_alloc() {
+        if !self.threads[thread].log.can_alloc() {
             hw.stats.bump(Counter::AsapStallLogFull);
             let t0 = now;
-            now = wait_mem!(self, hw, now, self.threads[&thread].log.can_alloc());
+            now = wait_mem!(self, hw, now, self.threads[thread].log.can_alloc());
             hw.note_stall(thread, StallReason::LogFull, t0, now);
         }
-        let th = self.threads.get_mut(&thread).expect("thread started");
+        let th = &mut self.threads[thread];
         (th.log.alloc_record().expect("space just verified"), now)
     }
 
@@ -391,7 +388,7 @@ impl Asap {
             }
             let (header_addr, t2) = self.alloc_record_blocking(hw, thread, now);
             now = t2;
-            let tail = self.threads[&thread].log.tail();
+            let tail = self.threads[thread].log.tail();
             self.lh
                 .insert(rid, header_addr, RecordHeader::new(rid, None));
             self.log_tracker.start_record(rid, header_addr, None);
@@ -432,7 +429,7 @@ impl Asap {
             let (new_addr, t2) = self.alloc_record_blocking(hw, thread, now);
             now = t2;
             self.meta.get_mut(&rid).expect("meta exists").log_end_tail =
-                self.threads[&thread].log.tail();
+                self.threads[thread].log.tail();
             self.log_tracker.start_record(rid, new_addr, Some(cur_addr));
             self.lh.get_mut(rid).expect("present").header_addr = new_addr;
         }
@@ -498,21 +495,17 @@ impl Scheme for Asap {
 
     fn gauges(&self) -> SchemeGauges {
         SchemeGauges {
-            log_fill_lines: self.threads.values().map(|t| t.log.live_lines()).sum(),
+            log_fill_lines: self.threads.iter().map(|t| t.log.live_lines()).sum(),
             uncommitted_regions: self.deps.len() as u64,
             dep_queue_depth: self.deps.iter().map(|e| e.deps.len() as u64).sum(),
         }
     }
 
     fn on_thread_start(&mut self, hw: &mut Hw, thread: usize, now: Cycle) -> Cycle {
-        let log = LogBuffer::new(hw.layout.log_base(thread), hw.layout.log_bytes);
-        self.threads.insert(
-            thread,
-            AsapThread {
-                log,
-                latest_rid: None,
-            },
-        );
+        start_thread(&mut self.threads, thread, |t| AsapThread {
+            log: LogBuffer::new(hw.layout.log_base(t), hw.layout.log_bytes),
+            latest_rid: None,
+        });
         now
     }
 
@@ -536,10 +529,7 @@ impl Scheme for Asap {
         self.cl.insert(core, rid);
         self.deps.insert(rid);
         self.meta.insert(rid, RegionMeta::default());
-        self.threads
-            .get_mut(&thread)
-            .expect("thread started")
-            .latest_rid = Some(rid);
+        self.threads[thread].latest_rid = Some(rid);
         // Control dependence on the thread's previous region (§4.5).
         if let Some(prev) = rid.prev() {
             if self.deps.contains(prev) {
@@ -715,7 +705,7 @@ impl Scheme for Asap {
     fn on_fence(&mut self, hw: &mut Hw, thread: usize, now: Cycle) -> Cycle {
         // §5.2: block until the thread's last region committed (and hence
         // every region it transitively depends on).
-        let Some(rid) = self.threads.get(&thread).and_then(|t| t.latest_rid) else {
+        let Some(rid) = self.threads.get(thread).and_then(|t| t.latest_rid) else {
             return now;
         };
         hw.stats.bump(Counter::AsapFence);

@@ -1,5 +1,6 @@
 //! Machinery shared by the logging schemes: active-region log writers,
-//! in-flight sealed-header tracking, and the event-wait loop.
+//! in-flight sealed-header tracking, per-thread and per-region
+//! bookkeeping, and the event-wait loop.
 
 use asap_mem::{OpId, PersistKind, Rid};
 use asap_pmem::{AddrMap, LineAddr, MemoryImage, PmAddr};
@@ -48,6 +49,94 @@ macro_rules! wait_mem {
     }};
 }
 pub(crate) use wait_mem;
+
+/// Grows a scheme's thread-indexed state so that `thread` has an entry,
+/// building each missing one with `make(t)`. Threads may start in any
+/// order; an entry made ahead of its thread's start is fresh state, which
+/// is what that start would have made.
+pub fn start_thread<T>(threads: &mut Vec<T>, thread: usize, mut make: impl FnMut(usize) -> T) {
+    while threads.len() <= thread {
+        let t = threads.len();
+        threads.push(make(t));
+    }
+}
+
+/// Removes `id` from a set of pending persist ops kept as a plain vector
+/// (nothing observes their order, only whether any remain).
+pub fn remove_op(ops: &mut Vec<OpId>, id: OpId) {
+    if let Some(i) = ops.iter().position(|&o| o == id) {
+        ops.swap_remove(i);
+    }
+}
+
+/// A region's written lines, each with a small value, kept as a vector
+/// sorted by line address. Lookups are binary searches, iteration visits
+/// lines in ascending order (the order a scheme's flushes and DPOs go out
+/// in), and [`clear`](Self::clear) keeps the buffer, so each thread reuses
+/// one set region after region.
+#[derive(Clone, Debug)]
+pub struct LineSet<V = ()> {
+    entries: Vec<(LineAddr, V)>,
+}
+
+impl<V> Default for LineSet<V> {
+    fn default() -> Self {
+        LineSet {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<V> LineSet<V> {
+    fn find(&self, line: LineAddr) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&line, |&(l, _)| l)
+    }
+
+    /// Whether `line` is in the set.
+    pub fn contains(&self, line: LineAddr) -> bool {
+        self.find(line).is_ok()
+    }
+
+    /// The value of `line`, if it is in the set.
+    pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut V> {
+        let i = self.find(line).ok()?;
+        Some(&mut self.entries[i].1)
+    }
+
+    /// Sets `line`'s value, returning the old one if the line was
+    /// already in the set.
+    pub fn insert(&mut self, line: LineAddr, v: V) -> Option<V> {
+        match self.find(line) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, v)),
+            Err(i) => {
+                self.entries.insert(i, (line, v));
+                None
+            }
+        }
+    }
+
+    /// Removes `line`, returning its value if it was in the set.
+    #[cfg(test)]
+    pub fn remove(&mut self, line: LineAddr) -> Option<V> {
+        let i = self.find(line).ok()?;
+        Some(self.entries.remove(i).1)
+    }
+
+    /// Empties the set, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// The lines and their values, in ascending line order.
+    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &V)> {
+        self.entries.iter().map(|(l, v)| (*l, v))
+    }
+
+    /// The lines and their values, mutably, in ascending line order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (LineAddr, &mut V)> {
+        self.entries.iter_mut().map(|(l, v)| (*l, v))
+    }
+}
 
 /// The per-region log writer used by the hardware baselines: tracks the
 /// current (partial) record and the region's log extent.
@@ -390,6 +479,78 @@ mod tests {
         assert_eq!(t.request_seal(PmAddr(512), false), None);
         assert!(t.accepted(OpId(2)).is_some());
         assert!(t.records.is_empty() && t.by_op.is_empty());
+    }
+
+    /// `LineSet` against a `BTreeMap` oracle: every op answers the same,
+    /// and after every op the set iterates the oracle's entries in the
+    /// oracle's (ascending) order, through clears and reuse.
+    mod line_set {
+        use super::super::LineSet;
+        use asap_pmem::LineAddr;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            Insert(u64, u32),
+            Contains(u64),
+            GetMut(u64, u32),
+            Remove(u64),
+            /// Add 1 to every value through `iter_mut`.
+            BumpAll,
+            Clear,
+        }
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            // 24 lines, so ops hit present and absent lines alike.
+            prop_oneof![
+                6 => (0u64..24, any::<u32>()).prop_map(|(l, v)| Op::Insert(l, v)),
+                2 => (0u64..24).prop_map(Op::Contains),
+                2 => (0u64..24, any::<u32>()).prop_map(|(l, v)| Op::GetMut(l, v)),
+                2 => (0u64..24).prop_map(Op::Remove),
+                1 => Just(Op::BumpAll),
+                1 => Just(Op::Clear),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+            #[test]
+            fn line_set_matches_btreemap(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+                let mut set = LineSet::default();
+                let mut oracle = BTreeMap::new();
+                for op in &ops {
+                    match *op {
+                        Op::Insert(l, v) => {
+                            prop_assert_eq!(set.insert(LineAddr(l), v), oracle.insert(LineAddr(l), v));
+                        }
+                        Op::Contains(l) => {
+                            prop_assert_eq!(set.contains(LineAddr(l)), oracle.contains_key(&LineAddr(l)));
+                        }
+                        Op::GetMut(l, v) => {
+                            let got = set.get_mut(LineAddr(l)).map(|x| std::mem::replace(x, v));
+                            let want = oracle.get_mut(&LineAddr(l)).map(|x| std::mem::replace(x, v));
+                            prop_assert_eq!(got, want);
+                        }
+                        Op::Remove(l) => {
+                            prop_assert_eq!(set.remove(LineAddr(l)), oracle.remove(&LineAddr(l)));
+                        }
+                        Op::BumpAll => {
+                            set.iter_mut().for_each(|(_, v)| *v = v.wrapping_add(1));
+                            oracle.values_mut().for_each(|v| *v = v.wrapping_add(1));
+                        }
+                        Op::Clear => {
+                            set.clear();
+                            oracle.clear();
+                        }
+                    }
+                    let got: Vec<(LineAddr, u32)> = set.iter().map(|(l, v)| (l, *v)).collect();
+                    let want: Vec<(LineAddr, u32)> = oracle.iter().map(|(l, v)| (*l, *v)).collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 
     #[test]

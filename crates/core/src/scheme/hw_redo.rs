@@ -23,7 +23,7 @@
 //!   only after every log entry of the region is accepted — the region's
 //!   commit point is the marker's own acceptance.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use asap_mem::{Evicted, MemEvent, OpId, PersistKind, Rid};
 use asap_pmem::{AddrMap, LineAddr, PmAddr};
@@ -32,7 +32,9 @@ use asap_sim::{Counter, Cycle, StallReason};
 use crate::hw::Hw;
 use crate::logbuf::{LogBuffer, RecordHeader, MAX_ENTRIES};
 use crate::recovery;
-use crate::scheme::common::{wait_mem, InflightHeaders, LogAcceptTracker};
+use crate::scheme::common::{
+    remove_op, start_thread, wait_mem, InflightHeaders, LineSet, LogAcceptTracker,
+};
 use crate::scheme::{RecoveryReport, Scheme, SchemeGauges, SchemeKind};
 
 /// Hardware cost of the begin/end region instructions.
@@ -42,20 +44,23 @@ const MARKER_COST: u64 = 3;
 struct RedoThread {
     log: LogBuffer,
     active: Option<RedoRegion>,
-    /// Committed regions whose async DPOs are still draining (FIFO).
+    /// The active region's written lines; true = modified again after its
+    /// LPO (needs re-log). Cleared at region begin.
+    lines: LineSet<bool>,
+    /// LPO/header/marker ops the active region's commit must wait for.
+    pending_log: Vec<OpId>,
+    /// Committed regions whose async DPOs are still draining, in commit
+    /// order.
     retiring: VecDeque<Retiring>,
 }
 
 #[derive(Clone, Debug)]
 struct RedoRegion {
+    rid: Rid,
     /// Current (partial) record, if any entries were logged.
     cur_record: Option<PmAddr>,
     /// Log tail after the last allocation (for freeing at retire).
     log_end_tail: u64,
-    /// Written lines; true = modified again after its LPO (needs re-log).
-    lines: BTreeMap<LineAddr, bool>,
-    /// LPO/header/marker ops the commit must wait for.
-    pending_log: BTreeSet<OpId>,
 }
 
 #[derive(Clone, Debug)]
@@ -67,38 +72,46 @@ struct Retiring {
     seq: u64,
     log_end_tail: u64,
     last_header: PmAddr,
-    pending_dpo: BTreeSet<OpId>,
+    pending_dpo: Vec<OpId>,
 }
 
 /// The hardware redo-logging scheme.
 #[derive(Clone, Debug)]
 pub struct HwRedo {
-    threads: BTreeMap<usize, RedoThread>,
+    /// Indexed by thread id.
+    threads: Vec<RedoThread>,
     inflight_headers: InflightHeaders,
     log_tracker: LogAcceptTracker,
     /// Uncommitted modified lines evicted from the LLC: their (new) data,
     /// readable only via the log until commit.
     redirect: AddrMap<LineAddr, [u8; 64]>,
-    /// Regions currently active (uncommitted), for eviction decisions.
-    active_rids: BTreeSet<Rid>,
     /// Global commit counter (orders retirement across threads).
     commit_seq: u64,
-    /// Commit seqs of regions still retiring, across all threads.
-    outstanding: BTreeSet<u64>,
 }
 
 impl HwRedo {
     /// Creates the scheme.
     pub fn new() -> Self {
         HwRedo {
-            threads: BTreeMap::new(),
+            threads: Vec::new(),
             inflight_headers: InflightHeaders::new(),
             log_tracker: LogAcceptTracker::new(),
             redirect: AddrMap::default(),
-            active_rids: BTreeSet::new(),
             commit_seq: 0,
-            outstanding: BTreeSet::new(),
         }
+    }
+
+    /// Thread `t`, if it has a region active.
+    fn active_thread(&mut self, t: usize) -> Option<&mut RedoThread> {
+        self.threads.get_mut(t).filter(|th| th.active.is_some())
+    }
+
+    /// Whether `rid` is active (uncommitted): the region its thread runs.
+    fn is_active(&self, rid: Rid) -> bool {
+        self.threads
+            .get(rid.thread() as usize)
+            .and_then(|th| th.active.as_ref())
+            .is_some_and(|r| r.rid == rid)
     }
 
     /// Retires fully-drained regions in *global* commit order: a region's
@@ -106,27 +119,19 @@ impl HwRedo {
     /// thread) has fully drained, so recovery can always roll the newest
     /// writer of a line forward last.
     fn retire_in_order(&mut self) {
-        loop {
-            let Some(&min_seq) = self.outstanding.first() else {
-                return;
-            };
-            let mut retired = false;
-            for th in self.threads.values_mut() {
-                if th
-                    .retiring
-                    .front()
-                    .is_some_and(|r| r.seq == min_seq && r.pending_dpo.is_empty())
-                {
-                    let r = th.retiring.pop_front().unwrap();
-                    th.log.free_to(r.log_end_tail);
-                    self.outstanding.remove(&r.seq);
-                    retired = true;
-                    break;
-                }
-            }
-            if !retired {
+        // Each thread retires in commit order, so the oldest retiring
+        // region overall is the front with the least seq.
+        while let Some(th) = self
+            .threads
+            .iter_mut()
+            .filter(|th| !th.retiring.is_empty())
+            .min_by_key(|th| th.retiring[0].seq)
+        {
+            if !th.retiring[0].pending_dpo.is_empty() {
                 return;
             }
+            let r = th.retiring.pop_front().expect("front exists");
+            th.log.free_to(r.log_end_tail);
         }
     }
 
@@ -141,7 +146,7 @@ impl HwRedo {
         data: [u8; 64],
         now: Cycle,
     ) {
-        let th = self.threads.get_mut(&thread).expect("thread started");
+        let th = &mut self.threads[thread];
         let region = th.active.as_mut().expect("region active");
         let cur = match region.cur_record {
             Some(c) => c,
@@ -165,27 +170,13 @@ impl HwRedo {
             now,
         );
         self.log_tracker.register(lpo, cur, i, line);
-        self.threads
-            .get_mut(&thread)
-            .unwrap()
-            .active
-            .as_mut()
-            .unwrap()
-            .pending_log
-            .insert(lpo);
+        self.threads[thread].pending_log.push(lpo);
         if i + 1 == MAX_ENTRIES {
             if let Some((addr, bytes)) = self.log_tracker.request_seal(cur, false) {
                 let hid = self.inflight_headers.submit(hw, rid, addr, bytes, now);
-                self.threads
-                    .get_mut(&thread)
-                    .unwrap()
-                    .active
-                    .as_mut()
-                    .unwrap()
-                    .pending_log
-                    .insert(hid);
+                self.threads[thread].pending_log.push(hid);
             }
-            let th = self.threads.get_mut(&thread).unwrap();
+            let th = &mut self.threads[thread];
             let new_addr = th.log.alloc_record().expect("hardware log overflow");
             let region = th.active.as_mut().unwrap();
             region.log_end_tail = th.log.tail();
@@ -205,21 +196,20 @@ impl HwRedo {
                 self.inflight_headers.accepted(*id);
                 if let Some((addr, bytes)) = self.log_tracker.accepted(*id) {
                     let hid = self.inflight_headers.submit(hw, rid, addr, bytes, *at);
-                    if let Some(region) = self.threads.get_mut(&t).and_then(|th| th.active.as_mut())
-                    {
-                        region.pending_log.insert(hid);
+                    if let Some(th) = self.active_thread(t) {
+                        th.pending_log.push(hid);
                     }
                 }
-                if let Some(region) = self.threads.get_mut(&t).and_then(|th| th.active.as_mut()) {
-                    region.pending_log.remove(id);
+                if let Some(th) = self.active_thread(t) {
+                    remove_op(&mut th.pending_log, *id);
                 }
             }
             PersistKind::Dpo => {
-                let Some(th) = self.threads.get_mut(&t) else {
+                let Some(th) = self.threads.get_mut(t) else {
                     return;
                 };
                 for r in &mut th.retiring {
-                    r.pending_dpo.remove(id);
+                    remove_op(&mut r.pending_dpo, *id);
                 }
                 // Reclaim logs in global commit order. Unlike ASAP, the
                 // redo baseline [33] has no LPO dropping: its log writes
@@ -261,38 +251,36 @@ impl Scheme for HwRedo {
 
     fn gauges(&self) -> SchemeGauges {
         SchemeGauges {
-            log_fill_lines: self.threads.values().map(|t| t.log.live_lines()).sum(),
+            log_fill_lines: self.threads.iter().map(|t| t.log.live_lines()).sum(),
             // Active regions are pre-commit; `retiring` regions are durable
             // and only draining DPOs, so they don't count as uncommitted.
-            uncommitted_regions: self.threads.values().filter(|t| t.active.is_some()).count()
-                as u64,
+            uncommitted_regions: self.threads.iter().filter(|t| t.active.is_some()).count() as u64,
             dep_queue_depth: 0,
         }
     }
 
     fn on_thread_start(&mut self, hw: &mut Hw, thread: usize, now: Cycle) -> Cycle {
-        let log = LogBuffer::new(hw.layout.log_base(thread), hw.layout.log_bytes);
-        self.threads.insert(
-            thread,
-            RedoThread {
-                log,
-                active: None,
-                retiring: VecDeque::new(),
-            },
-        );
+        start_thread(&mut self.threads, thread, |t| RedoThread {
+            log: LogBuffer::new(hw.layout.log_base(t), hw.layout.log_bytes),
+            active: None,
+            lines: LineSet::default(),
+            pending_log: Vec::new(),
+            retiring: VecDeque::new(),
+        });
         now
     }
 
     fn on_begin(&mut self, _hw: &mut Hw, thread: usize, rid: Rid, now: Cycle) -> Cycle {
-        let th = self.threads.get_mut(&thread).expect("thread started");
+        let th = &mut self.threads[thread];
         assert!(th.active.is_none(), "synchronous regions do not overlap");
         th.active = Some(RedoRegion {
+            rid,
             cur_record: None,
             log_end_tail: th.log.tail(),
-            lines: BTreeMap::new(),
-            pending_log: BTreeSet::new(),
         });
-        self.active_rids.insert(rid);
+        // The previous region's commit waited for all its log ops.
+        debug_assert!(th.pending_log.is_empty());
+        th.lines.clear();
         now + MARKER_COST
     }
 
@@ -315,15 +303,15 @@ impl Scheme for HwRedo {
         line: LineAddr,
         now: Cycle,
     ) -> Cycle {
-        let th = self.threads.get_mut(&thread).expect("thread started");
-        let Some(region) = th.active.as_mut() else {
+        let th = &mut self.threads[thread];
+        if th.active.is_none() {
             return now;
-        };
-        if let Some(stale) = region.lines.get_mut(&line) {
+        }
+        if let Some(stale) = th.lines.get_mut(line) {
             *stale = true; // value changed after its LPO: re-log at end
             return now;
         }
-        region.lines.insert(line, false);
+        th.lines.insert(line, false);
         let new = hw.line_value(line); // post-write: the NEW value
         if let Some(st) = hw.caches.line_mut(line) {
             st.owner = Some(rid);
@@ -345,46 +333,29 @@ impl Scheme for HwRedo {
 
     fn on_end(&mut self, hw: &mut Hw, thread: usize, rid: Rid, now: Cycle) -> Cycle {
         let mut now = now + MARKER_COST;
-        // Re-log lines modified after their LPO, so the log holds finals.
-        let stale: Vec<LineAddr> = {
-            let region = self.threads[&thread].active.as_ref().unwrap();
-            region
-                .lines
-                .iter()
-                .filter(|(_, s)| **s)
-                .map(|(l, _)| *l)
-                .collect()
-        };
-        for line in stale {
-            let data = match self.redirect.get(&line) {
-                Some(d) => *d,
-                None => hw.line_value(line),
-            };
-            self.log_entry(hw, thread, rid, line, data, now);
-            let region = self
-                .threads
-                .get_mut(&thread)
-                .unwrap()
-                .active
-                .as_mut()
-                .unwrap();
-            *region.lines.get_mut(&line).unwrap() = false;
+        // Re-log lines modified after their LPO, in ascending order, so
+        // the log holds finals. (`log_entry` never reads the line set.)
+        let mut lines = std::mem::take(&mut self.threads[thread].lines);
+        for (line, stale) in lines.iter_mut() {
+            if *stale {
+                let data = match self.redirect.get(&line) {
+                    Some(d) => *d,
+                    None => hw.line_value(line),
+                };
+                self.log_entry(hw, thread, rid, line, data, now);
+                *stale = false;
+            }
         }
+        self.threads[thread].lines = lines;
         // Commit marker: the final record seals with the committed flag
         // once all its entries are accepted; ensure a record exists even
         // for regions whose writes all landed in sealed records.
         {
-            let region = self
-                .threads
-                .get_mut(&thread)
-                .unwrap()
-                .active
-                .as_mut()
-                .unwrap();
+            let region = self.threads[thread].active.as_mut().expect("region active");
             let cur = match region.cur_record {
                 Some(c) => c,
                 None => {
-                    let th = self.threads.get_mut(&thread).unwrap();
+                    let th = &mut self.threads[thread];
                     let c = th.log.alloc_record().expect("hardware log overflow");
                     let region = th.active.as_mut().unwrap();
                     region.cur_record = Some(c);
@@ -395,39 +366,19 @@ impl Scheme for HwRedo {
             };
             if let Some((addr, bytes)) = self.log_tracker.request_seal(cur, true) {
                 let hid = self.inflight_headers.submit(hw, rid, addr, bytes, now);
-                self.threads
-                    .get_mut(&thread)
-                    .unwrap()
-                    .active
-                    .as_mut()
-                    .unwrap()
-                    .pending_log
-                    .insert(hid);
+                self.threads[thread].pending_log.push(hid);
             }
         }
         // Synchronous LPO wait: the region commits when the log, incl. the
         // marker header, is fully in the persistence domain.
         let t0 = now;
-        now = wait_mem!(self, hw, now, {
-            self.threads[&thread]
-                .active
-                .as_ref()
-                .unwrap()
-                .pending_log
-                .is_empty()
-        });
+        now = wait_mem!(self, hw, now, self.threads[thread].pending_log.is_empty());
         hw.note_stall(thread, StallReason::CommitWait, t0, now);
         // Committed: kick off asynchronous DPOs and move to retiring.
-        let region = self
-            .threads
-            .get_mut(&thread)
-            .unwrap()
-            .active
-            .take()
-            .unwrap();
-        self.active_rids.remove(&rid);
-        let mut pending_dpo = BTreeSet::new();
-        for &line in region.lines.keys() {
+        let th = &mut self.threads[thread];
+        let region = th.active.take().expect("region active");
+        let mut pending_dpo = Vec::new();
+        for (line, _) in th.lines.iter() {
             hw.mem.drop_pending_dpo(line, rid); // supersede earlier DPOs
             let id = match self.redirect.remove(&line) {
                 Some(data) => {
@@ -436,14 +387,13 @@ impl Scheme for HwRedo {
                 None => hw.persist_line(line, PersistKind::Dpo, Some(rid), None, now),
             };
             if let Some(id) = id {
-                pending_dpo.insert(id);
+                pending_dpo.push(id);
             }
         }
         hw.stats.bump(Counter::RegionCommitted);
         let seq = self.commit_seq;
         self.commit_seq += 1;
-        self.outstanding.insert(seq);
-        let th = self.threads.get_mut(&thread).unwrap();
+        let th = &mut self.threads[thread];
         let last_header = region.cur_record.expect("marker record exists");
         th.retiring.push_back(Retiring {
             rid,
@@ -463,10 +413,7 @@ impl Scheme for HwRedo {
     fn on_evict(&mut self, hw: &mut Hw, evicted: &Evicted, now: Cycle) {
         if evicted.state.dirty
             && evicted.line.is_pm_region()
-            && evicted
-                .state
-                .owner
-                .is_some_and(|o| self.active_rids.contains(&o))
+            && evicted.state.owner.is_some_and(|o| self.is_active(o))
         {
             // Uncommitted new value must not reach PM in place: keep it
             // aside; reads are redirected to the log (§2.3).
@@ -483,7 +430,7 @@ impl Scheme for HwRedo {
 
     fn drain(&mut self, hw: &mut Hw, now: Cycle) -> Cycle {
         let end = wait_mem!(self, hw, now, {
-            hw.mem.is_idle() && self.threads.values().all(|t| t.retiring.is_empty())
+            hw.mem.is_idle() && self.threads.iter().all(|t| t.retiring.is_empty())
         });
         hw.note_stall(0, StallReason::Drain, now, end);
         end
@@ -498,7 +445,7 @@ impl Scheme for HwRedo {
         // newest writer of any line wins.
         let mut retiring: Vec<(u64, u16, u64, u64)> = self
             .threads
-            .values()
+            .iter()
             .flat_map(|th| th.retiring.iter())
             .map(|r| (r.seq, r.rid.thread() as u16, r.rid.local(), r.last_header.0))
             .collect();
@@ -509,11 +456,13 @@ impl Scheme for HwRedo {
             blob.extend_from_slice(&l.to_le_bytes());
             blob.extend_from_slice(&a.to_le_bytes());
         }
-        // Uncommitted regions are reported so verification knows them.
+        // Uncommitted regions are reported so verification knows them,
+        // in thread order (which is rid order: one active region each).
         let active: Vec<(u16, u64)> = self
-            .active_rids
+            .threads
             .iter()
-            .map(|r| (r.thread() as u16, r.local()))
+            .filter_map(|th| th.active.as_ref())
+            .map(|r| (r.rid.thread() as u16, r.rid.local()))
             .collect();
         blob.extend_from_slice(&(active.len() as u32).to_le_bytes());
         for (t, l) in active {

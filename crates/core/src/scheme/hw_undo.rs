@@ -14,16 +14,16 @@
 //! resources of LH-WPQ-comparable size, §6.3), so a crash mid-region never
 //! leaves a header pointing at a log entry that never became durable.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use asap_mem::{MemEvent, OpId, PersistKind, Rid};
-use asap_pmem::{LineAddr, PmAddr};
+use asap_pmem::{AddrMap, LineAddr, PmAddr};
 use asap_sim::{Counter, Cycle, StallReason};
 
 use crate::hw::Hw;
 use crate::logbuf::{LogBuffer, RecordHeader, MAX_ENTRIES};
 use crate::recovery;
-use crate::scheme::common::{wait_mem, InflightHeaders, LogAcceptTracker};
+use crate::scheme::common::{
+    remove_op, start_thread, wait_mem, InflightHeaders, LineSet, LogAcceptTracker,
+};
 use crate::scheme::{RecoveryReport, Scheme, SchemeGauges, SchemeKind};
 
 /// Hardware cost of the begin/end region instructions.
@@ -33,6 +33,14 @@ const MARKER_COST: u64 = 3;
 struct HwUndoThread {
     log: LogBuffer,
     active: Option<HwUndoRegion>,
+    /// The active region's written lines; true once the line's LPO was
+    /// accepted. Cleared at region begin.
+    lines: LineSet<bool>,
+    /// The active region's LPO + header ops not yet accepted.
+    pending_log: Vec<OpId>,
+    /// The active region's DPO ops not yet accepted (populated during the
+    /// end-of-region wait).
+    pending_dpo: Vec<OpId>,
 }
 
 #[derive(Clone, Debug)]
@@ -42,12 +50,6 @@ struct HwUndoRegion {
     cur_record: Option<PmAddr>,
     /// Log tail after the last allocation (for freeing at commit).
     log_end_tail: u64,
-    /// Lines written; true once the line's LPO was accepted.
-    lines: BTreeMap<LineAddr, bool>,
-    /// LPO + header ops not yet accepted.
-    pending_log: BTreeSet<OpId>,
-    /// DPO ops not yet accepted (populated during the end-of-region wait).
-    pending_dpo: BTreeSet<OpId>,
     /// Region has reached `end` and is draining.
     ending: bool,
 }
@@ -55,22 +57,28 @@ struct HwUndoRegion {
 /// The synchronous-commit hardware undo-logging scheme.
 #[derive(Clone, Debug)]
 pub struct HwUndo {
-    threads: BTreeMap<usize, HwUndoThread>,
+    /// Indexed by thread id.
+    threads: Vec<HwUndoThread>,
     inflight_headers: InflightHeaders,
     log_tracker: LogAcceptTracker,
     /// op → (thread, line) for LPO completion bookkeeping.
-    lpo_of: BTreeMap<OpId, (usize, LineAddr)>,
+    lpo_of: AddrMap<OpId, (usize, LineAddr)>,
 }
 
 impl HwUndo {
     /// Creates the scheme.
     pub fn new() -> Self {
         HwUndo {
-            threads: BTreeMap::new(),
+            threads: Vec::new(),
             inflight_headers: InflightHeaders::new(),
             log_tracker: LogAcceptTracker::new(),
-            lpo_of: BTreeMap::new(),
+            lpo_of: AddrMap::default(),
         }
+    }
+
+    /// Thread `t`, if it has a region active.
+    fn active_thread(&mut self, t: usize) -> Option<&mut HwUndoThread> {
+        self.threads.get_mut(t).filter(|th| th.active.is_some())
     }
 
     fn handle_event(&mut self, hw: &mut Hw, ev: &MemEvent) {
@@ -85,13 +93,12 @@ impl HwUndo {
                 // A completed sealed record's header heads to the WPQ.
                 if let Some((addr, bytes)) = self.log_tracker.accepted(*id) {
                     let hid = self.inflight_headers.submit(hw, rid, addr, bytes, *at);
-                    if let Some(region) = self.threads.get_mut(&t).and_then(|th| th.active.as_mut())
-                    {
-                        region.pending_log.insert(hid);
+                    if let Some(th) = self.active_thread(t) {
+                        th.pending_log.push(hid);
                     }
                 }
-                if let Some(region) = self.threads.get_mut(&t).and_then(|th| th.active.as_mut()) {
-                    region.pending_log.remove(id);
+                if let Some(th) = self.active_thread(t) {
+                    remove_op(&mut th.pending_log, *id);
                 }
                 if let Some((t, line)) = self.lpo_of.remove(id) {
                     // The line's old value is in the persistence domain:
@@ -100,34 +107,22 @@ impl HwUndo {
                     if let Some(st) = hw.caches.line_mut(line) {
                         st.lock_bit = false;
                     }
-                    if let Some(region) = self.threads.get_mut(&t).and_then(|th| th.active.as_mut())
-                    {
-                        region.lines.insert(line, true);
+                    if let Some(th) = self.active_thread(t) {
+                        th.lines.insert(line, true);
+                        let region = th.active.as_ref().expect("region active");
                         if region.ending {
-                            let rid = region.rid;
                             if let Some(dpo) =
-                                hw.persist_line(line, PersistKind::Dpo, Some(rid), None, *at)
+                                hw.persist_line(line, PersistKind::Dpo, Some(region.rid), None, *at)
                             {
-                                self.threads
-                                    .get_mut(&t)
-                                    .unwrap()
-                                    .active
-                                    .as_mut()
-                                    .unwrap()
-                                    .pending_dpo
-                                    .insert(dpo);
+                                th.pending_dpo.push(dpo);
                             }
                         }
                     }
                 }
             }
             PersistKind::Dpo => {
-                if let Some(rid) = op.rid {
-                    let t = rid.thread() as usize;
-                    if let Some(region) = self.threads.get_mut(&t).and_then(|th| th.active.as_mut())
-                    {
-                        region.pending_dpo.remove(id);
-                    }
+                if let Some(th) = op.rid.and_then(|r| self.active_thread(r.thread() as usize)) {
+                    remove_op(&mut th.pending_dpo, *id);
                 }
             }
             _ => {}
@@ -152,32 +147,35 @@ impl Scheme for HwUndo {
 
     fn gauges(&self) -> SchemeGauges {
         SchemeGauges {
-            log_fill_lines: self.threads.values().map(|t| t.log.live_lines()).sum(),
-            uncommitted_regions: self.threads.values().filter(|t| t.active.is_some()).count()
-                as u64,
+            log_fill_lines: self.threads.iter().map(|t| t.log.live_lines()).sum(),
+            uncommitted_regions: self.threads.iter().filter(|t| t.active.is_some()).count() as u64,
             dep_queue_depth: 0,
         }
     }
 
     fn on_thread_start(&mut self, hw: &mut Hw, thread: usize, now: Cycle) -> Cycle {
-        let log = LogBuffer::new(hw.layout.log_base(thread), hw.layout.log_bytes);
-        self.threads
-            .insert(thread, HwUndoThread { log, active: None });
+        start_thread(&mut self.threads, thread, |t| HwUndoThread {
+            log: LogBuffer::new(hw.layout.log_base(t), hw.layout.log_bytes),
+            active: None,
+            lines: LineSet::default(),
+            pending_log: Vec::new(),
+            pending_dpo: Vec::new(),
+        });
         now
     }
 
     fn on_begin(&mut self, _hw: &mut Hw, thread: usize, rid: Rid, now: Cycle) -> Cycle {
-        let th = self.threads.get_mut(&thread).expect("thread started");
+        let th = &mut self.threads[thread];
         assert!(th.active.is_none(), "synchronous regions do not overlap");
         th.active = Some(HwUndoRegion {
             rid,
             cur_record: None,
             log_end_tail: th.log.tail(),
-            lines: BTreeMap::new(),
-            pending_log: BTreeSet::new(),
-            pending_dpo: BTreeSet::new(),
             ending: false,
         });
+        // The previous region's commit waited for all its ops.
+        debug_assert!(th.pending_log.is_empty() && th.pending_dpo.is_empty());
+        th.lines.clear();
         now + MARKER_COST
     }
 
@@ -189,14 +187,14 @@ impl Scheme for HwUndo {
         line: LineAddr,
         now: Cycle,
     ) -> Cycle {
-        let th = self.threads.get_mut(&thread).expect("thread started");
+        let th = &mut self.threads[thread];
         let Some(region) = th.active.as_mut() else {
             return now;
         };
-        if region.lines.contains_key(&line) {
+        if th.lines.contains(line) {
             return now; // already logged: nothing on the critical path
         }
-        region.lines.insert(line, false);
+        th.lines.insert(line, false);
         // Lazily open the region's current record.
         let cur = match region.cur_record {
             Some(c) => c,
@@ -227,24 +225,15 @@ impl Scheme for HwUndo {
         );
         self.log_tracker.register(lpo, cur, i, line);
         self.lpo_of.insert(lpo, (thread, line));
-        let th = self.threads.get_mut(&thread).unwrap();
-        let region = th.active.as_mut().unwrap();
-        region.pending_log.insert(lpo);
+        self.threads[thread].pending_log.push(lpo);
         if i + 1 == MAX_ENTRIES {
             // Record full: seal (header written once all LPOs accepted)
             // and open the next record.
             if let Some((addr, bytes)) = self.log_tracker.request_seal(cur, false) {
                 let hid = self.inflight_headers.submit(hw, rid, addr, bytes, now);
-                self.threads
-                    .get_mut(&thread)
-                    .unwrap()
-                    .active
-                    .as_mut()
-                    .unwrap()
-                    .pending_log
-                    .insert(hid);
+                self.threads[thread].pending_log.push(hid);
             }
-            let th = self.threads.get_mut(&thread).unwrap();
+            let th = &mut self.threads[thread];
             let new_addr = th.log.alloc_record().expect("hardware log overflow");
             let region = th.active.as_mut().unwrap();
             region.log_end_tail = th.log.tail();
@@ -256,58 +245,35 @@ impl Scheme for HwUndo {
 
     fn on_end(&mut self, hw: &mut Hw, thread: usize, rid: Rid, now: Cycle) -> Cycle {
         let mut now = now + MARKER_COST;
-        {
-            let th = self.threads.get_mut(&thread).expect("thread started");
-            let region = th.active.as_mut().expect("region active");
-            region.ending = true;
-            // Seal the final record so the log chain is complete.
-            if let Some(cur) = region.cur_record {
-                if let Some((addr, bytes)) = self.log_tracker.request_seal(cur, false) {
-                    let hid = self.inflight_headers.submit(hw, rid, addr, bytes, now);
-                    self.threads
-                        .get_mut(&thread)
-                        .unwrap()
-                        .active
-                        .as_mut()
-                        .unwrap()
-                        .pending_log
-                        .insert(hid);
-                }
+        let th = &mut self.threads[thread];
+        let region = th.active.as_mut().expect("region active");
+        region.ending = true;
+        // Seal the final record so the log chain is complete.
+        if let Some(cur) = region.cur_record {
+            if let Some((addr, bytes)) = self.log_tracker.request_seal(cur, false) {
+                let hid = self.inflight_headers.submit(hw, rid, addr, bytes, now);
+                th.pending_log.push(hid);
             }
-            // Fire DPOs for lines whose LPOs already completed; the rest
-            // fire from the acceptance handler.
-            let ready: Vec<LineAddr> = self.threads[&thread]
-                .active
-                .as_ref()
-                .unwrap()
-                .lines
-                .iter()
-                .filter(|(_, done)| **done)
-                .map(|(l, _)| *l)
-                .collect();
-            for line in ready {
+        }
+        // Fire DPOs, in ascending line order, for lines whose LPOs
+        // already completed; the rest fire from the acceptance handler.
+        for (line, &done) in th.lines.iter() {
+            if done {
                 if let Some(dpo) = hw.persist_line(line, PersistKind::Dpo, Some(rid), None, now) {
-                    self.threads
-                        .get_mut(&thread)
-                        .unwrap()
-                        .active
-                        .as_mut()
-                        .unwrap()
-                        .pending_dpo
-                        .insert(dpo);
+                    th.pending_dpo.push(dpo);
                 }
             }
         }
         // Synchronous commit: wait for every LPO, header and DPO.
         let t0 = now;
         now = wait_mem!(self, hw, now, {
-            let r = self.threads[&thread].active.as_ref().unwrap();
-            r.pending_log.is_empty() && r.pending_dpo.is_empty()
+            let th = &self.threads[thread];
+            th.pending_log.is_empty() && th.pending_dpo.is_empty()
         });
         hw.note_stall(thread, StallReason::CommitWait, t0, now);
         // Commit: drop undrained log writes, reclaim the log space.
-        let th = self.threads.get_mut(&thread).unwrap();
-        let region = th.active.take().unwrap();
+        let th = &mut self.threads[thread];
+        let region = th.active.take().expect("region active");
         th.log.free_to(region.log_end_tail);
         self.log_tracker.forget_region(rid);
         hw.mem.drop_log_writes_of(rid);
@@ -336,7 +302,7 @@ impl Scheme for HwUndo {
         blob.extend_from_slice(b"HWUN");
         let active: Vec<(u16, u64, u64)> = self
             .threads
-            .values()
+            .iter()
             .filter_map(|th| th.active.as_ref())
             .filter_map(|r| {
                 r.cur_record

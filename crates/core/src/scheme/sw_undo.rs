@@ -12,8 +12,6 @@
 //! The "DPO Only" variant (Fig. 1) skips logging entirely and only flushes
 //! data at region end — it measures the cost of DPOs alone.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use asap_mem::{MemEvent, OpId, PersistKind, Rid};
 use asap_pmem::{LineAddr, PmAddr};
 use asap_sim::{Cycle, StallReason};
@@ -21,7 +19,7 @@ use asap_sim::{Cycle, StallReason};
 use crate::hw::Hw;
 use crate::logbuf::LogBuffer;
 use crate::recovery;
-use crate::scheme::common::{wait_mem, ActiveLog};
+use crate::scheme::common::{remove_op, start_thread, wait_mem, ActiveLog, LineSet};
 use crate::scheme::{RecoveryReport, Scheme, SchemeGauges, SchemeKind};
 
 /// Cost of issuing one `clwb` instruction.
@@ -77,27 +75,43 @@ impl Anchor {
     }
 }
 
+/// `clwb` of `line`, adding its persist op (if any) to `outstanding`.
+fn clwb_into(
+    outstanding: &mut Vec<OpId>,
+    hw: &mut Hw,
+    rid: Rid,
+    line: LineAddr,
+    now: Cycle,
+) -> Cycle {
+    if let Some(id) = hw.persist_line(line, PersistKind::SwPersist, Some(rid), None, now) {
+        outstanding.push(id);
+    }
+    now + CLWB_COST
+}
+
 /// One thread's software-logging state.
 #[derive(Clone, Debug)]
 struct SwThread {
     log: LogBuffer,
     active: Option<SwRegion>,
+    /// Lines the active region wrote: each is logged on its first write
+    /// (Full mode) and flushed at region end. Cleared at region begin.
+    dirty: LineSet,
     /// Persist ops this thread's next fence must wait for.
-    outstanding: BTreeSet<OpId>,
+    outstanding: Vec<OpId>,
 }
 
 #[derive(Clone, Debug)]
 struct SwRegion {
     alog: Option<ActiveLog>, // None in DpoOnly mode
-    logged: BTreeSet<LineAddr>,
-    dirty: BTreeSet<LineAddr>,
 }
 
 /// The software undo-logging scheme.
 #[derive(Clone, Debug)]
 pub struct SwUndo {
     mode: SwMode,
-    threads: BTreeMap<usize, SwThread>,
+    /// Indexed by thread id.
+    threads: Vec<SwThread>,
 }
 
 impl SwUndo {
@@ -105,7 +119,7 @@ impl SwUndo {
     pub fn new(mode: SwMode) -> Self {
         SwUndo {
             mode,
-            threads: BTreeMap::new(),
+            threads: Vec::new(),
         }
     }
 
@@ -117,8 +131,8 @@ impl SwUndo {
     fn handle_event(&mut self, _hw: &mut Hw, ev: &MemEvent) {
         if let MemEvent::Accepted { id, op, .. } = ev {
             if let Some(rid) = op.rid {
-                if let Some(th) = self.threads.get_mut(&(rid.thread() as usize)) {
-                    th.outstanding.remove(id);
+                if let Some(th) = self.threads.get_mut(rid.thread() as usize) {
+                    remove_op(&mut th.outstanding, *id);
                 }
             }
         }
@@ -127,17 +141,14 @@ impl SwUndo {
     /// `sfence`: wait until all of this thread's persists are accepted.
     fn sfence(&mut self, hw: &mut Hw, t: usize, now: Cycle) -> Cycle {
         let now = now + SFENCE_COST;
-        let end = wait_mem!(self, hw, now, self.threads[&t].outstanding.is_empty());
+        let end = wait_mem!(self, hw, now, self.threads[t].outstanding.is_empty());
         hw.note_stall(t, StallReason::CommitWait, now, end);
         end
     }
 
     /// `clwb` of `line` charged to thread `t`'s fence set.
     fn clwb(&mut self, hw: &mut Hw, t: usize, rid: Rid, line: LineAddr, now: Cycle) -> Cycle {
-        if let Some(id) = hw.persist_line(line, PersistKind::SwPersist, Some(rid), None, now) {
-            self.threads.get_mut(&t).unwrap().outstanding.insert(id);
-        }
-        now + CLWB_COST
+        clwb_into(&mut self.threads[t].outstanding, hw, rid, line, now)
     }
 
     /// Store raw bytes to a PM line as software would (through the cache),
@@ -187,29 +198,25 @@ impl Scheme for SwUndo {
 
     fn gauges(&self) -> SchemeGauges {
         SchemeGauges {
-            log_fill_lines: self.threads.values().map(|t| t.log.live_lines()).sum(),
-            uncommitted_regions: self.threads.values().filter(|t| t.active.is_some()).count()
-                as u64,
+            log_fill_lines: self.threads.iter().map(|t| t.log.live_lines()).sum(),
+            uncommitted_regions: self.threads.iter().filter(|t| t.active.is_some()).count() as u64,
             dep_queue_depth: 0,
         }
     }
 
     fn on_thread_start(&mut self, hw: &mut Hw, thread: usize, now: Cycle) -> Cycle {
-        let log = LogBuffer::new(hw.layout.log_base(thread), hw.layout.log_bytes);
-        self.threads.insert(
-            thread,
-            SwThread {
-                log,
-                active: None,
-                outstanding: BTreeSet::new(),
-            },
-        );
+        start_thread(&mut self.threads, thread, |t| SwThread {
+            log: LogBuffer::new(hw.layout.log_base(t), hw.layout.log_bytes),
+            active: None,
+            dirty: LineSet::default(),
+            outstanding: Vec::new(),
+        });
         now
     }
 
     fn on_begin(&mut self, hw: &mut Hw, thread: usize, rid: Rid, now: Cycle) -> Cycle {
         let mode = self.mode;
-        let th = self.threads.get_mut(&thread).expect("thread started");
+        let th = &mut self.threads[thread];
         assert!(th.active.is_none(), "software regions do not overlap");
         let (alog, first_header) = if mode == SwMode::Full {
             let alog = ActiveLog::start(&mut th.log, rid).expect("software log overflow");
@@ -218,11 +225,8 @@ impl Scheme for SwUndo {
         } else {
             (None, PmAddr(0))
         };
-        th.active = Some(SwRegion {
-            alog,
-            logged: BTreeSet::new(),
-            dirty: BTreeSet::new(),
-        });
+        th.active = Some(SwRegion { alog });
+        th.dirty.clear();
         if mode == SwMode::Full {
             // Publish the active region so recovery can find its log.
             self.persist_anchor(
@@ -249,15 +253,14 @@ impl Scheme for SwUndo {
         line: LineAddr,
         now: Cycle,
     ) -> Cycle {
-        let th = self.threads.get_mut(&thread).expect("thread started");
+        let th = &mut self.threads[thread];
         let Some(region) = th.active.as_mut() else {
             return now; // write outside a region: no logging
         };
-        region.dirty.insert(line);
-        if self.mode == SwMode::DpoOnly || region.logged.contains(&line) {
+        let first_write = th.dirty.insert(line, ()).is_none();
+        if self.mode == SwMode::DpoOnly || !first_write {
             return now;
         }
-        region.logged.insert(line);
         let alog = region.alog.as_mut().expect("Full mode has a log");
         let (entry_addr, sealed) = alog
             .add_entry(&mut th.log, line)
@@ -280,12 +283,13 @@ impl Scheme for SwUndo {
     }
 
     fn on_end(&mut self, hw: &mut Hw, thread: usize, rid: Rid, now: Cycle) -> Cycle {
-        let th = self.threads.get_mut(&thread).expect("thread started");
+        let th = &mut self.threads[thread];
         let region = th.active.take().expect("region active");
-        // DPOs: flush every dirty line (issues overlap), single fence.
+        // DPOs: flush every dirty line in ascending order (issues
+        // overlap), single fence.
         let mut now = now;
-        for line in &region.dirty {
-            now = self.clwb(hw, thread, rid, *line, now);
+        for (line, ()) in th.dirty.iter() {
+            now = clwb_into(&mut th.outstanding, hw, rid, line, now);
         }
         now = self.sfence(hw, thread, now);
         if self.mode == SwMode::Full {
@@ -301,7 +305,7 @@ impl Scheme for SwUndo {
                 },
                 now,
             );
-            let th = self.threads.get_mut(&thread).unwrap();
+            let th = &mut self.threads[thread];
             let end = region.alog.expect("Full mode has a log").log_end_tail;
             th.log.free_to(end);
         }

@@ -180,6 +180,20 @@ impl Channel {
         Some(&self.op(*tail).data)
     }
 
+    /// Every live op targeting `line` (on the wire, pending, or in the
+    /// WPQ), oldest first.
+    fn live_ops(&self, line: LineAddr) -> impl Iterator<Item = &PersistOp> {
+        let mut cur = self.by_line.get(&line).map_or(FWD_NIL, |&(head, _)| head);
+        std::iter::from_fn(move || {
+            if cur == FWD_NIL {
+                return None;
+            }
+            let node = &self.fwd_nodes[cur as usize];
+            cur = node.next;
+            Some(&node.op)
+        })
+    }
+
     /// Frees node `n` and removes its op from the store-forward index (it
     /// left the live set). Per-line lists are short (usually one node: a
     /// drained op is the oldest for its line, i.e. the head), so the walk
@@ -472,11 +486,18 @@ impl MemSystem {
     /// Drops an earlier region's pending DPO to `line` when a later
     /// region's LPO for the same line arrives (they carry the same bytes) —
     /// DPO dropping, §5.1. Returns how many were dropped (0 or 1).
+    ///
+    /// The line's live ops are looked up in the store-forward index
+    /// first, and the WPQ is scanned only when one of them is another
+    /// region's DPO (an op that is not live is not in the WPQ).
     pub fn drop_pending_dpo(&mut self, line: LineAddr, later_region: Rid) -> u64 {
         let ch_idx = self.channel_of(line) as usize;
-        let dropped = self.drop_matching(ch_idx, |op| {
-            op.kind == PersistKind::Dpo && op.target == line && op.rid != Some(later_region)
-        });
+        let earlier_dpo =
+            |op: &PersistOp| op.kind == PersistKind::Dpo && op.rid != Some(later_region);
+        if !self.channels[ch_idx].live_ops(line).any(earlier_dpo) {
+            return 0;
+        }
+        let dropped = self.drop_matching(ch_idx, |op| op.target == line && earlier_dpo(op));
         self.stats.add(Counter::PmDropDpo, dropped);
         dropped
     }
@@ -547,14 +568,15 @@ impl MemSystem {
             ch.clear_index();
         }
         // Ops still travelling to their controller (unprocessed arrival
-        // events) never reached the persistence domain either.
-        let mut on_the_wire = 0;
-        while let Some((_, (_, ev))) = self.events.pop() {
-            if matches!(ev, ChEvent::Arrive(..)) {
-                on_the_wire += 1;
-            }
-        }
-        self.stats.add(Counter::CrashLostUnaccepted, on_the_wire);
+        // events) never reached the persistence domain either. Counting
+        // needs no order, so the queue is emptied in place.
+        let on_the_wire = self
+            .events
+            .drain()
+            .filter(|(_, (_, ev))| matches!(ev, ChEvent::Arrive(..)))
+            .count();
+        self.stats
+            .add(Counter::CrashLostUnaccepted, on_the_wire as u64);
         self.out.clear();
     }
 
@@ -1028,6 +1050,46 @@ mod tests {
         mem.advance_to(Cycle(100_000), &mut image);
         assert_eq!(mem.stats().get(Counter::PmWriteDpo), 1); // only sacrificial one
         assert_eq!(mem.stats().get(Counter::PmDropDpo), 1);
+    }
+
+    #[test]
+    fn dpo_drop_exits_early_unless_an_earlier_dpo_rests_in_the_wpq() {
+        let mut cfg = test_cfg();
+        cfg.mem.wpq_entries = 2;
+        cfg.mem.controllers = 1;
+        cfg.mem.channels_per_mc = 1;
+        let mut mem = MemSystem::new(&cfg);
+        let mut image = MemoryImage::new();
+        let (r1, r2) = (Rid::new(0, 1), Rid::new(0, 2));
+        // The sacrificial op goes in flight; r1's DPO of line 0 rests in
+        // the WPQ, which is then full, so r1's DPO of line 1 waits in the
+        // pending queue; r1's DPO of line 2 is still on the wire.
+        mem.submit(dpo(pm_line(4), 0, None), Cycle(0));
+        mem.submit(dpo(pm_line(0), 1, Some(r1)), Cycle(0));
+        mem.submit(dpo(pm_line(1), 2, Some(r1)), Cycle(0));
+        mem.advance_to(Cycle(16), &mut image);
+        mem.submit(dpo(pm_line(2), 3, Some(r1)), Cycle(16));
+        assert_eq!((mem.wpq_len(0), mem.pending_len(0)), (2, 1));
+        let wpq =
+            |mem: &MemSystem| -> Vec<u64> { mem.channels[0].wpq.iter().map(|s| s.seq).collect() };
+        let before = wpq(&mem);
+        for (line, later) in [(0, r1), (1, r2), (2, r2), (3, r2)] {
+            assert_eq!(
+                mem.drop_pending_dpo(pm_line(line), later),
+                0,
+                "line {line}: same region, pending, on the wire, or no op"
+            );
+            assert_eq!(wpq(&mem), before, "line {line}: WPQ untouched");
+            assert_eq!(mem.pending_len(0), 1);
+        }
+        assert_eq!(
+            mem.drop_pending_dpo(pm_line(0), r2),
+            1,
+            "earlier region's DPO dropped"
+        );
+        assert_eq!(mem.stats().get(Counter::PmDropDpo), 1);
+        // The freed slot took the pending DPO of line 1.
+        assert_eq!((mem.wpq_len(0), mem.pending_len(0)), (2, 0));
     }
 
     #[test]

@@ -293,11 +293,23 @@ impl MemoryImage {
         }
     }
 
-    /// Reads a little-endian `u64` at `addr`.
+    /// Reads a little-endian `u64` at `addr`: one page lookup and an
+    /// 8-byte load when the value sits in one page, the general
+    /// [`read`](Self::read) when it straddles two.
     pub fn read_u64(&self, addr: PmAddr) -> u64 {
-        let mut b = [0u8; 8];
-        self.read(addr, &mut b);
-        u64::from_le_bytes(b)
+        let off = (addr.0 % PAGE_BYTES) as usize;
+        if off + 8 > PAGE_BYTES as usize {
+            let mut b = [0u8; 8];
+            self.read(addr, &mut b);
+            return u64::from_le_bytes(b);
+        }
+        match self.lookup(addr.0 / PAGE_BYTES) {
+            Some(slot) => {
+                let page = &self.pages[slot as usize].0;
+                u64::from_le_bytes(page[off..off + 8].try_into().expect("8 bytes"))
+            }
+            None => 0,
+        }
     }
 
     /// Writes a little-endian `u64` at `addr`.

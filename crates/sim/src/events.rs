@@ -114,6 +114,13 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Removes every pending event, in no particular order. The heap
+    /// keeps its capacity and the insertion counter keeps counting, so
+    /// later pushes order exactly as if the events had been popped.
+    pub fn drain(&mut self) -> impl Iterator<Item = (Cycle, E)> + '_ {
+        self.heap.drain().map(|e| (e.at, e.payload))
+    }
+
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<Cycle> {
@@ -291,6 +298,9 @@ mod tests {
             /// cycle on, then pops of half of them), then `clone_from`
             /// the first copy into it; every later op drives it too.
             CloneFrom(u64, u8),
+            /// Empty every copy with `drain`; later pushes must still pop
+            /// in `(time, seq)` order.
+            Drain,
         }
 
         fn cycle_strategy() -> impl Strategy<Value = u64> {
@@ -316,6 +326,7 @@ mod tests {
                 1 => cycle_strategy().prop_map(Op::PopUntil),
                 1 => Just(Op::Clone),
                 1 => (cycle_strategy(), 0u8..40).prop_map(|(c, n)| Op::CloneFrom(c, n)),
+                1 => Just(Op::Drain),
             ]
         }
 
@@ -325,7 +336,7 @@ mod tests {
             /// Every copy of the queue emits the oracle's `(cycle, payload)`
             /// sequence, and agrees on `peek_time`/`len`, under arbitrary
             /// interleaved traffic with forks by `clone` and `clone_from`
-            /// taken mid-trace.
+            /// taken mid-trace and drains that empty every copy.
             #[test]
             fn queue_matches_linear_scan_oracle(
                 ops in proptest::collection::vec(op_strategy(), 1..200),
@@ -378,6 +389,19 @@ mod tests {
                             spare.clone_from(&copies[0]);
                             copies.truncate(MAX_COPIES - 1);
                             copies.push(spare);
+                        }
+                        Op::Drain => {
+                            // Drained in no particular order: compare as
+                            // sorted lists (payloads are unique).
+                            let mut want: Vec<(Cycle, u32)> =
+                                oracle.pending.iter().map(|&(at, _, p)| (at, p)).collect();
+                            want.sort_unstable();
+                            oracle.pending.clear();
+                            for q in &mut copies {
+                                let mut got: Vec<(Cycle, u32)> = q.drain().collect();
+                                got.sort_unstable();
+                                prop_assert_eq!(&got, &want);
+                            }
                         }
                     }
                     for q in &copies {
