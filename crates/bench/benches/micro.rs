@@ -53,34 +53,56 @@ fn bench_with(name: &str, warmup: u64, iters: u64, mut f: impl FnMut()) {
 }
 
 fn bench_events() {
-    // Every queue here carries 24-byte payloads, the size of
+    // Every queue here has the three lanes and the 24-byte payloads of
     // `MemSystem`'s `(channel, ChEvent)` events, so moving one costs what
     // it costs in the simulator: payload size can flip the ranking of
     // queue designs (an inline heap lost to a payload slab at the 144
     // bytes events had while they carried whole persist ops).
 
-    // Rolling near-future window with 0–2 events pending, popped in time
-    // order. Stays within the warmed heap, so the loop is allocation-free.
-    let mut q: EventQueue<[u64; 3]> = EventQueue::new();
+    // Rolling near-future window with 0–2 events pending on two lanes,
+    // popped in time order. Stays within the warmed lanes, so the loop
+    // is allocation-free.
+    let mut q: EventQueue<[u64; 3], 3> = EventQueue::new();
     let mut t = 0u64;
     bench("event_queue_push_pop", || {
         t += 13;
-        q.push(Cycle(t + 16), [t; 3]);
-        q.push(Cycle(t + 900), [t + 1; 3]);
+        q.push(0, Cycle(t + 16), [t; 3]);
+        q.push(2, Cycle(t + 900), [t + 1; 3]);
         black_box(q.pop());
         black_box(q.pop());
     });
 
-    // Same-cycle burst: every event of a batch shares one cycle and must
-    // pop in insertion order (FIFO within a cycle).
-    let mut q: EventQueue<[u64; 3]> = EventQueue::new();
+    // Same-cycle burst over every lane: all events of a batch share one
+    // cycle and must pop in insertion order (FIFO within a cycle).
+    let mut q: EventQueue<[u64; 3], 3> = EventQueue::new();
     let mut t = 0u64;
     bench("event_queue_burst_fifo", || {
         t += 1;
         for i in 0..8u64 {
-            q.push(Cycle(t), [i; 3]);
+            q.push(i as usize % 3, Cycle(t), [i; 3]);
         }
         while q.pop().is_some() {}
+    });
+
+    // The memory system's mix (DESIGN.md §12): per op an `Arrive` one hop
+    // (40 cycles) out, a `WriteDone` one write service (12) out and a
+    // `DrainCheck` one residency window (1,500) out, each on its lane.
+    // About 12 % of arrivals and 20 % of checks come from a thread 1,000
+    // cycles behind and land before their lane's back. Popping up to the
+    // current time keeps ~75 checks pending, as `fig7_cold` does.
+    let mut q: EventQueue<[u64; 3], 3> = EventQueue::new();
+    let mut t = 1_000_000u64;
+    let mut i = 0u64;
+    bench("event_queue_memsystem_mix", || {
+        t += 20;
+        i += 1;
+        let behind = |pct: u64| if i * 37 % 100 < pct { 1_000 } else { 0 };
+        q.push(0, Cycle(t + 40 - behind(12)), [i; 3]);
+        q.push(1, Cycle(t + 12), [i; 3]);
+        q.push(2, Cycle(t + 1_500 - behind(20)), [i; 3]);
+        while let Some(e) = q.pop_until(Cycle(t)) {
+            black_box(e);
+        }
     });
 }
 

@@ -82,6 +82,9 @@ pub struct Asap {
     inflight_headers: InflightHeaders,
     /// Header fields publish at LPO acceptance (see `LogAcceptTracker`).
     log_tracker: LogAcceptTracker,
+    /// Lines whose DPO to try next; empty between uses, kept for its
+    /// capacity (see [`Asap::try_initiate_dpos`]).
+    dpo_lines: Vec<LineAddr>,
 }
 
 impl Asap {
@@ -117,6 +120,7 @@ impl Asap {
             lpo_of: AddrMap::default(),
             inflight_headers: InflightHeaders::new(),
             log_tracker: LogAcceptTracker::new(),
+            dpo_lines: Vec::new(),
         }
     }
 
@@ -191,21 +195,39 @@ impl Asap {
         }
     }
 
+    /// Runs [`try_initiate_dpo`](Self::try_initiate_dpo) over the lines
+    /// `collect` puts in the scheme's reused line buffer, which is taken
+    /// for the walk and put back empty.
+    fn try_initiate_dpos(
+        &mut self,
+        hw: &mut Hw,
+        core: usize,
+        rid: Rid,
+        now: Cycle,
+        collect: impl FnOnce(&mut Self, &mut Vec<LineAddr>),
+    ) {
+        let mut lines = std::mem::take(&mut self.dpo_lines);
+        collect(self, &mut lines);
+        for &line in &lines {
+            self.try_initiate_dpo(hw, core, rid, line, now);
+        }
+        lines.clear();
+        self.dpo_lines = lines;
+    }
+
     /// Initiates every eligible pending DPO of `rid` (region end, stalls,
     /// context switches).
     fn kick_all_dpos(&mut self, hw: &mut Hw, core: usize, rid: Rid, now: Cycle) {
-        let lines: Vec<LineAddr> = match self.cl.entry(core, rid) {
-            Some(e) => e
-                .slots
-                .iter()
-                .filter(|s| s.dpo != DpoState::Initiated)
-                .map(|s| s.line)
-                .collect(),
-            None => return,
-        };
-        for line in lines {
-            self.try_initiate_dpo(hw, core, rid, line, now);
-        }
+        self.try_initiate_dpos(hw, core, rid, now, |this, lines| {
+            if let Some(e) = this.cl.entry(core, rid) {
+                lines.extend(
+                    e.slots
+                        .iter()
+                        .filter(|s| s.dpo != DpoState::Initiated)
+                        .map(|s| s.line),
+                );
+            }
+        });
     }
 
     /// A DPO (or eviction writeback standing in for one) for `line` of
@@ -635,28 +657,27 @@ impl Scheme for Asap {
         }
         let distance = self.dpo_distance;
         // Bump the other slots' distance counters; collect those now due.
-        let mut due = Vec::new();
-        if let Some(entry) = self.cl.entry_mut(core, rid) {
-            for s in &mut entry.slots {
-                if let DpoState::Pending { other_writes } = &mut s.dpo {
-                    if s.line == line {
-                        *other_writes = 0;
-                    } else {
-                        *other_writes += 1;
-                        if *other_writes >= distance {
-                            due.push(s.line);
+        self.try_initiate_dpos(hw, core, rid, now, |this, due| {
+            if let Some(entry) = this.cl.entry_mut(core, rid) {
+                for s in &mut entry.slots {
+                    if let DpoState::Pending { other_writes } = &mut s.dpo {
+                        if s.line == line {
+                            *other_writes = 0;
+                        } else {
+                            *other_writes += 1;
+                            if *other_writes >= distance {
+                                due.push(s.line);
+                            }
                         }
                     }
                 }
+                // Without coalescing, the written line's DPO fires right
+                // away.
+                if distance == 0 {
+                    due.push(line);
+                }
             }
-            // Without coalescing, the written line's DPO fires right away.
-            if distance == 0 {
-                due.push(line);
-            }
-        }
-        for l in due {
-            self.try_initiate_dpo(hw, core, rid, l, now);
-        }
+        });
         now
     }
 

@@ -74,6 +74,29 @@ enum ChEvent {
     DrainCheck,
 }
 
+/// Lanes of the memory system's event queue, one per [`ChEvent`] kind.
+const EVENT_LANES: usize = 3;
+
+impl ChEvent {
+    /// This event's queue lane. Each kind fires a fixed delay after the
+    /// time being handled — an arrival one hop after submit, a write-done
+    /// one write service after its start, a drain check one residency
+    /// window after acceptance — so each lane receives its events almost
+    /// in time order (DESIGN.md §12).
+    #[inline]
+    fn lane(&self) -> usize {
+        match self {
+            ChEvent::Arrive(_) => 0,
+            ChEvent::WriteDone(_) => 1,
+            ChEvent::DrainCheck => 2,
+        }
+    }
+}
+
+/// The memory system's pending channel events, each tagged with the
+/// channel that handles it.
+type ChEvents = EventQueue<(u32, ChEvent), EVENT_LANES>;
+
 /// Freelist/list terminator for the store-forward node slab.
 const FWD_NIL: u32 = u32::MAX;
 
@@ -195,12 +218,17 @@ impl Channel {
     }
 
     /// Frees node `n` and removes its op from the store-forward index (it
-    /// left the live set). Per-line lists are short (usually one node: a
-    /// drained op is the oldest for its line, i.e. the head), so the walk
-    /// is effectively constant time.
+    /// left the live set), through one probe of the line's entry.
+    /// Per-line lists are short (usually one node: a drained op is the
+    /// oldest for its line, i.e. the head), so the walk is effectively
+    /// constant time.
     fn unindex(&mut self, n: u32) {
         let line = self.op(n).target;
-        let &(head, tail) = self.by_line.get(&line).expect("live op must be indexed");
+        let std::collections::hash_map::Entry::Occupied(mut entry) = self.by_line.entry(line)
+        else {
+            panic!("live op must be indexed");
+        };
+        let (head, tail) = *entry.get();
         let mut prev = FWD_NIL;
         let mut cur = head;
         while cur != n {
@@ -211,14 +239,14 @@ impl Channel {
         let next = self.fwd_nodes[cur as usize].next;
         if prev == FWD_NIL {
             if next == FWD_NIL {
-                self.by_line.remove(&line);
+                entry.remove();
             } else {
-                self.by_line.insert(line, (next, tail));
+                entry.get_mut().0 = next;
             }
         } else {
             self.fwd_nodes[prev as usize].next = next;
             if cur == tail {
-                self.by_line.insert(line, (head, prev));
+                entry.get_mut().1 = prev;
             }
         }
         self.fwd_free.push(cur);
@@ -263,7 +291,7 @@ pub struct MemSystem {
     channels: Vec<Channel>,
     /// Every channel's pending internal events on one queue, each tagged
     /// with the channel that handles it.
-    events: EventQueue<(u32, ChEvent)>,
+    events: ChEvents,
     out: VecDeque<MemEvent>,
     next_id: u64,
     stats: StatSlots,
@@ -367,8 +395,9 @@ impl MemSystem {
         let ch = self.channel_of(op.target);
         self.stats.bump(submit_counter(op.kind));
         let node = self.channels[ch as usize].index(id, op, now);
+        let ev = ChEvent::Arrive(node);
         self.events
-            .push(now + self.cfg.mc_hop_latency, (ch, ChEvent::Arrive(node)));
+            .push(ev.lane(), now + self.cfg.mc_hop_latency, (ch, ev));
         id
     }
 
@@ -639,7 +668,7 @@ struct DirectFx<'a> {
     stats: &'a mut StatSlots,
     hot: Option<&'a mut AddrMap<LineAddr, u64>>,
     trace: &'a mut Trace,
-    events: &'a mut EventQueue<(u32, ChEvent)>,
+    events: &'a mut ChEvents,
     /// The channel whose event is being handled.
     channel: u32,
 }
@@ -672,7 +701,7 @@ impl DirectFx<'_> {
 
     /// Schedules a follow-up event on this channel.
     fn push_event(&mut self, at: Cycle, ev: ChEvent) {
-        self.events.push(at, (self.channel, ev));
+        self.events.push(ev.lane(), at, (self.channel, ev));
     }
 }
 

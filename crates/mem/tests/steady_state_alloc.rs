@@ -1,7 +1,7 @@
 //! Steady-state hot paths perform no heap allocation.
 //!
 //! The data-oriented core (slab-arena cache store, inline SoA tag sets,
-//! event heap of inline entries, WPQ ops held in a per-channel node slab,
+//! event lanes of inline entries, WPQ ops held in a per-channel node slab,
 //! fixed-slot statistics) exists so the per-access/per-op simulator loop
 //! never touches the allocator once its arenas are warm, and so restoring
 //! a cache snapshot, an event queue or a statistics registry reuses the
@@ -66,13 +66,14 @@ fn steady_state_hot_paths_do_not_allocate() {
     let cfg = SystemConfig::small();
 
     // --- EventQueue: push/pop churn of inline entries within the warmed
-    // heap. The first pass sizes it; the identical second pass must run
+    // lanes, every lane taking appends and pushes before its back. The
+    // first pass sizes the lanes; the identical second pass must run
     // entirely out of that capacity.
-    let mut q: EventQueue<u64> = EventQueue::new();
-    let churn_queue = |q: &mut EventQueue<u64>| {
+    let mut q: EventQueue<u64, 3> = EventQueue::new();
+    let churn_queue = |q: &mut EventQueue<u64, 3>| {
         for round in 0..64u64 {
             for i in 0..128u64 {
-                q.push(Cycle(round * 1000 + i % 11), i);
+                q.push(i as usize % 3, Cycle(round * 1000 + i % 11), i);
             }
             while q.pop().is_some() {}
         }
@@ -82,12 +83,13 @@ fn steady_state_hot_paths_do_not_allocate() {
     assert_eq!(n, 0, "event queue steady state must not allocate");
 
     // --- EventQueue restore: `clone_from` a churned queue with events
-    // pending into the warmed one, as a crash sweep refreshes its copy of
-    // the machine. It overwrites the heap's entries in place.
-    let mut src: EventQueue<u64> = EventQueue::new();
+    // pending in every lane into the warmed one, as a crash sweep
+    // refreshes its copy of the machine. It overwrites each lane's
+    // entries in place.
+    let mut src: EventQueue<u64, 3> = EventQueue::new();
     churn_queue(&mut src);
     for i in 0..128u64 {
-        src.push(Cycle(i * 37 % 500), i);
+        src.push(i as usize % 3, Cycle(i * 37 % 500), i);
     }
     for _ in 0..32 {
         src.pop();

@@ -1,43 +1,54 @@
-//! A stable min-priority event queue keyed by [`Cycle`].
+//! A stable min-priority event queue keyed by [`Cycle`], kept in lanes.
 //!
-//! A `std` binary heap of `(time, insertion-seq, payload)` entries. Events
-//! pop in `(time, insertion-seq)` order; `seq` is unique, so the payload
-//! never decides the order and needs no ordering of its own. Payloads are
-//! small (the memory system's is a channel index plus a `u32` op handle
-//! or an op id), so the heap moves them inline; the heap keeps its
-//! capacity, so steady-state traffic performs no heap allocation. A
-//! `tests`-side proptest holds the queue to a linear-scan oracle.
+//! The queue holds `LANES` lanes, each a `VecDeque` of `(time,
+//! insertion-seq, payload)` entries sorted by `(time, seq)`. One seq
+//! counter is shared by every lane, so a pop takes the least
+//! `(time, seq)` over the lane fronts and events come out in exactly
+//! `(time, insertion)` order, whatever lanes they were pushed on and in
+//! whatever order. Payloads are small (the memory system's is a channel
+//! index plus a `u32` op handle or an op id), so entries sit inline; the
+//! lanes keep their capacity, so steady-state traffic performs no heap
+//! allocation. A `tests`-side proptest holds the queue to a linear-scan
+//! oracle.
+//!
+//! Lanes are a matter of speed only. A caller whose events of one kind
+//! fire a fixed delay after the time being handled gives that kind a lane
+//! of its own: such a lane receives its events almost in time order, so a
+//! push nearly always appends, where one sorted queue for every kind
+//! would insert mid-queue. A push earlier than its lane's back (an event
+//! scheduled from a thread that is behind in virtual time) binary-searches
+//! its place.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::clock::Cycle;
 
-/// A deterministic min-priority queue of timestamped events.
+/// A deterministic min-priority queue of timestamped events in `LANES`
+/// sorted lanes.
 ///
-/// Events with equal timestamps pop in insertion order, which keeps the
-/// whole simulation reproducible run-to-run.
+/// Events with equal timestamps pop in insertion order across all lanes,
+/// which keeps the whole simulation reproducible run-to-run.
 ///
 /// # Example
 ///
 /// ```
 /// use asap_sim::{Cycle, EventQueue};
 ///
-/// let mut q = EventQueue::new();
-/// q.push(Cycle(3), 'x');
-/// q.push(Cycle(3), 'y');
-/// q.push(Cycle(1), 'z');
+/// let mut q: EventQueue<char, 2> = EventQueue::new();
+/// q.push(0, Cycle(3), 'x');
+/// q.push(1, Cycle(3), 'y');
+/// q.push(0, Cycle(1), 'z'); // earlier than its lane's back
 /// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
 /// assert_eq!(order, ['z', 'x', 'y']);
 /// ```
-pub struct EventQueue<E> {
-    /// One entry per pending event.
-    heap: BinaryHeap<Entry<E>>,
+pub struct EventQueue<E, const LANES: usize> {
+    /// Pending events, each lane sorted by `(at, seq)`.
+    lanes: [VecDeque<Entry<E>>; LANES],
     next_seq: u64,
 }
 
-/// A pending event. Ordered by `(at, seq)` alone, reversed, so the
-/// `std` max-heap pops the earliest event first.
+/// A pending event. `seq` is unique across lanes, so the payload never
+/// decides the order.
 #[derive(Clone)]
 struct Entry<E> {
     at: Cycle,
@@ -45,106 +56,124 @@ struct Entry<E> {
     payload: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// `clone_from` reuses the destination's heap buffer (a derived
-/// `clone_from` would reallocate it), which keeps repeated restores into
+/// `clone_from` reuses the destination's lane buffers (a derived
+/// `clone_from` would reallocate them), which keeps repeated restores into
 /// the same scratch machine allocation-free.
-impl<E: Clone> Clone for EventQueue<E> {
+impl<E: Clone, const LANES: usize> Clone for EventQueue<E, LANES> {
     fn clone(&self) -> Self {
         EventQueue {
-            heap: self.heap.clone(),
+            lanes: self.lanes.clone(),
             next_seq: self.next_seq,
         }
     }
 
     fn clone_from(&mut self, src: &Self) {
-        self.heap.clone_from(&src.heap);
+        for (lane, from) in self.lanes.iter_mut().zip(&src.lanes) {
+            lane.clone_from(from);
+        }
         self.next_seq = src.next_seq;
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E, const LANES: usize> EventQueue<E, LANES> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            lanes: std::array::from_fn(|_| VecDeque::new()),
             next_seq: 0,
         }
     }
 
-    /// Schedules `payload` to fire at time `at`.
-    pub fn push(&mut self, at: Cycle, payload: E) {
+    /// Schedules `payload` on `lane` to fire at time `at`.
+    ///
+    /// # Panics
+    ///
+    /// If `lane >= LANES`.
+    #[inline]
+    pub fn push(&mut self, lane: usize, at: Cycle, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, payload });
+        let lane = &mut self.lanes[lane];
+        let entry = Entry { at, seq, payload };
+        // `seq` exceeds every pending seq, so the entry goes after every
+        // entry at or before `at`: at the back unless it is in the past.
+        if lane.back().is_none_or(|e| e.at <= at) {
+            lane.push_back(entry);
+        } else {
+            let i = lane.partition_point(|e| e.at <= at);
+            lane.insert(i, entry);
+        }
+    }
+
+    /// The lane whose front is the least pending `(at, seq)`, if any.
+    #[inline]
+    fn first_lane(&self) -> Option<usize> {
+        let mut first: Option<(usize, (Cycle, u64))> = None;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(e) = lane.front() {
+                if first.is_none_or(|(_, key)| (e.at, e.seq) < key) {
+                    first = Some((i, (e.at, e.seq)));
+                }
+            }
+        }
+        first.map(|(i, _)| i)
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let Entry { at, payload, .. } = self.heap.pop()?;
-        Some((at, payload))
+        self.pop_until(Cycle(u64::MAX))
     }
 
     /// Removes the earliest event only if it fires at or before `deadline`.
     #[inline]
     pub fn pop_until(&mut self, deadline: Cycle) -> Option<(Cycle, E)> {
-        if self.peek_time()? <= deadline {
-            self.pop()
-        } else {
-            None
+        let lane = &mut self.lanes[self.first_lane()?];
+        if lane.front()?.at > deadline {
+            return None;
         }
+        let Entry { at, payload, .. } = lane.pop_front()?;
+        Some((at, payload))
     }
 
-    /// Removes every pending event, in no particular order. The heap
-    /// keeps its capacity and the insertion counter keeps counting, so
-    /// later pushes order exactly as if the events had been popped.
+    /// Removes every pending event, lane by lane, in no particular time
+    /// order, as the iterator is run. The lanes keep their capacity and
+    /// the insertion counter keeps counting, so later pushes order exactly
+    /// as if the events had been popped.
     pub fn drain(&mut self) -> impl Iterator<Item = (Cycle, E)> + '_ {
-        self.heap.drain().map(|e| (e.at, e.payload))
+        self.lanes
+            .iter_mut()
+            .flat_map(|lane| lane.drain(..))
+            .map(|e| (e.at, e.payload))
     }
 
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.at)
+        self.lanes
+            .iter()
+            .filter_map(|l| l.front())
+            .map(|e| e.at)
+            .min()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.lanes.iter().map(VecDeque::len).sum()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.lanes.iter().all(VecDeque::is_empty)
     }
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E, const LANES: usize> Default for EventQueue<E, LANES> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> std::fmt::Debug for EventQueue<E> {
+impl<E, const LANES: usize> std::fmt::Debug for EventQueue<E, LANES> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.len())
@@ -159,10 +188,10 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(Cycle(30), 3);
-        q.push(Cycle(10), 1);
-        q.push(Cycle(20), 2);
+        let mut q: EventQueue<i32, 1> = EventQueue::new();
+        q.push(0, Cycle(30), 3);
+        q.push(0, Cycle(10), 1);
+        q.push(0, Cycle(20), 2);
         assert_eq!(q.pop(), Some((Cycle(10), 1)));
         assert_eq!(q.pop(), Some((Cycle(20), 2)));
         assert_eq!(q.pop(), Some((Cycle(30), 3)));
@@ -171,20 +200,35 @@ mod tests {
 
     #[test]
     fn equal_times_are_fifo() {
-        let mut q = EventQueue::new();
+        let mut q: EventQueue<usize, 3> = EventQueue::new();
         for i in 0..100 {
-            q.push(Cycle(5), i);
+            q.push(i % 3, Cycle(5), i);
         }
         for i in 0..100 {
             assert_eq!(q.pop(), Some((Cycle(5), i)));
         }
     }
 
+    /// A push earlier than its lane's back lands after every entry at or
+    /// before its time, so it pops after same-time events pushed before it.
+    #[test]
+    fn past_push_keeps_fifo_among_equal_times() {
+        let mut q: EventQueue<char, 2> = EventQueue::new();
+        q.push(0, Cycle(10), 'a');
+        q.push(0, Cycle(10), 'b');
+        q.push(0, Cycle(40), 'c');
+        q.push(1, Cycle(10), 'd');
+        q.push(0, Cycle(10), 'e'); // past push into lane 0
+        q.push(0, Cycle(5), 'f'); // past push to the front
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ['f', 'a', 'b', 'd', 'e', 'c']);
+    }
+
     #[test]
     fn pop_until_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.push(Cycle(10), 'a');
-        q.push(Cycle(20), 'b');
+        let mut q: EventQueue<char, 2> = EventQueue::new();
+        q.push(1, Cycle(10), 'a');
+        q.push(0, Cycle(20), 'b');
         assert_eq!(q.pop_until(Cycle(15)), Some((Cycle(10), 'a')));
         assert_eq!(q.pop_until(Cycle(15)), None);
         assert_eq!(q.len(), 1);
@@ -193,26 +237,27 @@ mod tests {
 
     #[test]
     fn peek_time_empty() {
-        let q: EventQueue<()> = EventQueue::new();
+        let q: EventQueue<(), 3> = EventQueue::new();
         assert_eq!(q.peek_time(), None);
         assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn interleaved_push_pop_keeps_order() {
-        let mut q = EventQueue::new();
-        q.push(Cycle(2), "b");
-        q.push(Cycle(1), "a");
+        let mut q: EventQueue<&str, 2> = EventQueue::new();
+        q.push(0, Cycle(2), "b");
+        q.push(1, Cycle(1), "a");
         assert_eq!(q.pop(), Some((Cycle(1), "a")));
-        q.push(Cycle(1), "c"); // earlier than "b" even though pushed later
+        q.push(1, Cycle(1), "c"); // earlier than "b" even though pushed later
         assert_eq!(q.pop(), Some((Cycle(1), "c")));
         assert_eq!(q.pop(), Some((Cycle(2), "b")));
     }
 
     #[test]
     fn debug_nonempty() {
-        let mut q = EventQueue::new();
-        q.push(Cycle(1), ());
+        let mut q: EventQueue<(), 1> = EventQueue::new();
+        q.push(0, Cycle(1), ());
         assert!(format!("{q:?}").contains("EventQueue"));
     }
 
@@ -220,11 +265,11 @@ mod tests {
     /// global time order.
     #[test]
     fn far_future_events_pop_in_order() {
-        let mut q = EventQueue::new();
-        q.push(Cycle(u64::MAX / 2), 'd');
-        q.push(Cycle(3), 'a');
-        q.push(Cycle(1 << 15), 'b');
-        q.push(Cycle(1 << 40), 'c');
+        let mut q: EventQueue<char, 2> = EventQueue::new();
+        q.push(0, Cycle(u64::MAX / 2), 'd');
+        q.push(0, Cycle(3), 'a');
+        q.push(1, Cycle(1 << 40), 'c');
+        q.push(1, Cycle(1 << 15), 'b');
         assert_eq!(q.peek_time(), Some(Cycle(3)));
         assert_eq!(q.pop(), Some((Cycle(3), 'a')));
         assert_eq!(q.pop(), Some((Cycle(1 << 15), 'b')));
@@ -234,13 +279,13 @@ mod tests {
     }
 
     /// An event pushed earlier than the one `peek_time` just reported
-    /// becomes the next to pop.
+    /// becomes the next to pop, whichever lane either is on.
     #[test]
     fn push_before_peeked_event_pops_first() {
-        let mut q = EventQueue::new();
-        q.push(Cycle(10_000), 'z');
+        let mut q: EventQueue<char, 2> = EventQueue::new();
+        q.push(0, Cycle(10_000), 'z');
         assert_eq!(q.peek_time(), Some(Cycle(10_000)));
-        q.push(Cycle(1), 'a');
+        q.push(1, Cycle(1), 'a');
         assert_eq!(q.peek_time(), Some(Cycle(1)));
         assert_eq!(q.pop(), Some((Cycle(1), 'a')));
         assert_eq!(q.pop(), Some((Cycle(10_000), 'z')));
@@ -250,8 +295,12 @@ mod tests {
         use super::{Cycle, EventQueue};
         use proptest::prelude::*;
 
+        /// Lanes of the queue under test.
+        const LANES: usize = 3;
+
         /// The ordering oracle: pending `(at, seq, payload)` triples in a
         /// `Vec`, each pop taking the least `(at, seq)` by linear scan.
+        /// It knows nothing of lanes.
         #[derive(Default)]
         struct Oracle {
             pending: Vec<(Cycle, u64, u32)>,
@@ -282,21 +331,34 @@ mod tests {
         /// replaces the newest when the limit is reached.
         const MAX_COPIES: usize = 4;
 
+        /// When a push fires.
+        #[derive(Clone, Copy, Debug)]
+        enum When {
+            /// At this cycle.
+            At(u64),
+            /// This many cycles after (or, negative, before) the last
+            /// time pushed on the lane: the simulator's fixed-delay
+            /// traffic, with the "past" pushes of a thread behind in
+            /// virtual time.
+            AfterLast(i64),
+        }
+
         #[derive(Clone, Debug)]
         enum Op {
-            /// Push one event at this cycle.
-            Push(u64),
-            /// Push a burst of events on the same cycle (FIFO tie-break
-            /// stress).
-            Burst(u64, u8),
+            /// Push one event on this lane.
+            Push(usize, When),
+            /// Push a burst of events on one lane and cycle (FIFO
+            /// tie-break stress).
+            Burst(usize, When, u8),
             Pop,
             PopUntil(u64),
             /// Fork the first copy with `clone`; every later op drives
             /// the fork too.
             Clone,
             /// Churn a new queue off-trace (this many pushes from this
-            /// cycle on, then pops of half of them), then `clone_from`
-            /// the first copy into it; every later op drives it too.
+            /// cycle on, spread over the lanes, then pops of half of
+            /// them), then `clone_from` the first copy into it; every
+            /// later op drives it too.
             CloneFrom(u64, u8),
             /// Empty every copy with `drain`; later pushes must still pop
             /// in `(time, seq)` order.
@@ -318,10 +380,18 @@ mod tests {
             ]
         }
 
+        fn when_strategy() -> impl Strategy<Value = When> {
+            prop_oneof![
+                2 => cycle_strategy().prop_map(When::At),
+                // Mostly at or after the lane's back, sometimes before it.
+                3 => (0u64..260).prop_map(|d| When::AfterLast(d as i64 - 60)),
+            ]
+        }
+
         fn op_strategy() -> impl Strategy<Value = Op> {
             prop_oneof![
-                3 => cycle_strategy().prop_map(Op::Push),
-                1 => (cycle_strategy(), 2u8..6).prop_map(|(c, n)| Op::Burst(c, n)),
+                4 => (0..LANES, when_strategy()).prop_map(|(l, w)| Op::Push(l, w)),
+                1 => (0..LANES, when_strategy(), 2u8..6).prop_map(|(l, w, n)| Op::Burst(l, w, n)),
                 3 => Just(Op::Pop),
                 1 => cycle_strategy().prop_map(Op::PopUntil),
                 1 => Just(Op::Clone),
@@ -335,26 +405,40 @@ mod tests {
 
             /// Every copy of the queue emits the oracle's `(cycle, payload)`
             /// sequence, and agrees on `peek_time`/`len`, under arbitrary
-            /// interleaved traffic with forks by `clone` and `clone_from`
-            /// taken mid-trace and drains that empty every copy.
+            /// interleaved traffic over three lanes, in-lane pushes before
+            /// the lane's back included, with forks by `clone` and
+            /// `clone_from` taken mid-trace and drains that empty every
+            /// copy.
             #[test]
             fn queue_matches_linear_scan_oracle(
                 ops in proptest::collection::vec(op_strategy(), 1..200),
             ) {
-                let mut copies = vec![EventQueue::new()];
+                let mut copies: Vec<EventQueue<u32, LANES>> = vec![EventQueue::new()];
                 let mut oracle = Oracle::default();
                 let mut payload = 0u32;
+                // The last time pushed on each lane.
+                let mut last = [0u64; LANES];
+                let mut time_of = |lane: usize, when: When| {
+                    let t = match when {
+                        When::At(t) => t,
+                        When::AfterLast(d) => last[lane].saturating_add_signed(d),
+                    };
+                    last[lane] = t;
+                    Cycle(t)
+                };
                 for op in &ops {
                     match *op {
-                        Op::Push(at) => {
-                            copies.iter_mut().for_each(|q| q.push(Cycle(at), payload));
-                            oracle.push(Cycle(at), payload);
+                        Op::Push(lane, when) => {
+                            let at = time_of(lane, when);
+                            copies.iter_mut().for_each(|q| q.push(lane, at, payload));
+                            oracle.push(at, payload);
                             payload += 1;
                         }
-                        Op::Burst(at, n) => {
+                        Op::Burst(lane, when, n) => {
+                            let at = time_of(lane, when);
                             for _ in 0..n {
-                                copies.iter_mut().for_each(|q| q.push(Cycle(at), payload));
-                                oracle.push(Cycle(at), payload);
+                                copies.iter_mut().for_each(|q| q.push(lane, at, payload));
+                                oracle.push(at, payload);
                                 payload += 1;
                             }
                         }
@@ -381,7 +465,7 @@ mod tests {
                         Op::CloneFrom(at, n) => {
                             let mut spare = EventQueue::new();
                             for i in 0..u64::from(n) {
-                                spare.push(Cycle(at + i * 97), u32::MAX);
+                                spare.push(i as usize % LANES, Cycle(at + i * 97), u32::MAX);
                             }
                             for _ in 0..n / 2 {
                                 spare.pop();

@@ -12,7 +12,8 @@
 //! three rules enforced by the types here:
 //!
 //! 1. events with equal timestamps are processed in insertion order
-//!    ([`EventQueue`] is a stable priority queue);
+//!    ([`EventQueue`] pops in exactly `(time, insertion)` order, merged
+//!    over its sorted lanes);
 //! 2. the thread scheduler always resumes the runnable thread with the
 //!    smallest local clock ([`ThreadClocks::next_runnable`]);
 //! 3. simulated locks serialize critical sections in timestamp order
@@ -23,11 +24,14 @@
 //! ```
 //! use asap_sim::{Cycle, EventQueue};
 //!
-//! let mut q: EventQueue<&str> = EventQueue::new();
-//! q.push(Cycle(10), "b");
-//! q.push(Cycle(5), "a");
+//! // Two lanes, one per kind of event.
+//! let mut q: EventQueue<&str, 2> = EventQueue::new();
+//! q.push(0, Cycle(10), "b");
+//! q.push(1, Cycle(5), "a");
+//! q.push(1, Cycle(10), "c");
 //! assert_eq!(q.pop(), Some((Cycle(5), "a")));
 //! assert_eq!(q.pop(), Some((Cycle(10), "b")));
+//! assert_eq!(q.pop(), Some((Cycle(10), "c")));
 //! ```
 
 #![warn(missing_docs)]

@@ -57,18 +57,31 @@ impl PayloadStream {
         }
     }
 
-    /// Writes the next `out.len()` bytes of the sequence into `out`.
+    /// The next word of the sequence.
+    fn next_word(&mut self) -> u64 {
+        self.x ^= self.x << 13;
+        self.x ^= self.x >> 7;
+        self.x ^= self.x << 17;
+        self.x
+    }
+
+    /// Writes the next `out.len()` bytes of the sequence into `out`: the
+    /// buffered rest of the last word, then whole words straight from the
+    /// generator, then the head of one more word, whose rest is buffered.
     fn fill(&mut self, out: &mut [u8]) {
-        for b in out {
-            if self.avail == 0 {
-                self.x ^= self.x << 13;
-                self.x ^= self.x >> 7;
-                self.x ^= self.x << 17;
-                self.buf = self.x.to_le_bytes();
-                self.avail = 8;
-            }
-            *b = self.buf[8 - self.avail];
-            self.avail -= 1;
+        let head = self.avail.min(out.len());
+        let from = 8 - self.avail;
+        out[..head].copy_from_slice(&self.buf[from..from + head]);
+        self.avail -= head;
+        let mut words = out[head..].chunks_exact_mut(8);
+        for w in &mut words {
+            w.copy_from_slice(&self.next_word().to_le_bytes());
+        }
+        let tail = words.into_remainder();
+        if !tail.is_empty() {
+            self.buf = self.next_word().to_le_bytes();
+            tail.copy_from_slice(&self.buf[..tail.len()]);
+            self.avail = 8 - tail.len();
         }
     }
 }
@@ -119,6 +132,53 @@ mod tests {
     fn null_pointers() {
         assert_eq!(as_ptr(NULL), None);
         assert_eq!(as_ptr(64), Some(PmAddr(64)));
+    }
+
+    /// The first `n` bytes of the sequence, generated a byte at a time:
+    /// each xorshift64 word's 8 little-endian bytes in turn.
+    fn bytewise(key: u64, tag: u64, n: usize) -> Vec<u8> {
+        let mut x = PayloadStream::new(key, tag).x;
+        (0..n)
+            .map(|i| {
+                if i % 8 == 0 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                }
+                x.to_le_bytes()[i % 8]
+            })
+            .collect()
+    }
+
+    /// `fill` yields the byte-at-a-time sequence from every buffered
+    /// offset for every span up to a line, and for 2 KB values split at
+    /// line boundaries from every offset in a line, as `write_payload`
+    /// splits them.
+    #[test]
+    fn fill_matches_the_bytewise_sequence() {
+        let (key, tag) = (0x1234_5678, 7);
+        for start in 0..8 {
+            for span in 1..=64 {
+                let want = bytewise(key, tag, start + span);
+                let mut s = PayloadStream::new(key, tag);
+                let mut got = vec![0u8; start + span];
+                s.fill(&mut got[..start]);
+                s.fill(&mut got[start..]);
+                assert_eq!(got, want, "start {start}, span {span}");
+            }
+        }
+        let want = bytewise(key, tag, 2048);
+        for off in 0..64 {
+            let mut s = PayloadStream::new(key, tag);
+            let mut got = vec![0u8; 2048];
+            let mut pos = 0;
+            while pos < got.len() {
+                let n = (got.len() - pos).min(64 - (off + pos) % 64);
+                s.fill(&mut got[pos..pos + n]);
+                pos += n;
+            }
+            assert_eq!(got, want, "offset {off}");
+        }
     }
 
     #[test]
