@@ -5,11 +5,18 @@
 //! end-to-end small transaction.
 //!
 //! Plain `fn main` harness (no criterion — the build environment is offline):
-//! each benchmark warms up, then runs timed batches and reports ns/iter with
-//! the standard deviation across batches.
+//! each benchmark warms up, then runs timed batches and reports mean ns/iter
+//! with the standard deviation across batches and the fastest batch. The
+//! fastest batch is the steadier figure when another process shares the
+//! host. Raw ns/iter compare only between runs on the same idle host, so
+//! a before/after alternates the two builds back to back.
+//!
+//! `cargo bench -p asap-bench --bench micro -- <filter>` runs only the
+//! benchmarks whose name contains `<filter>` (every group's setup still
+//! runs).
 
 use std::hint::black_box;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use asap_core::logbuf::RecordHeader;
@@ -25,7 +32,17 @@ const WARMUP_ITERS: u64 = 2_000;
 const BATCHES: u64 = 10;
 const ITERS_PER_BATCH: u64 = 20_000;
 
-/// Runs `f` repeatedly and prints mean ± stddev ns/iter over the batches.
+/// The name filter: the first command-line argument other than the
+/// `--bench` flag cargo passes to bench targets.
+fn filter() -> Option<&'static str> {
+    static FILTER: OnceLock<Option<String>> = OnceLock::new();
+    FILTER
+        .get_or_init(|| std::env::args().skip(1).find(|a| a != "--bench"))
+        .as_deref()
+}
+
+/// Runs `f` repeatedly and prints mean ± stddev and the fastest batch's
+/// ns/iter over the batches.
 fn bench(name: &str, f: impl FnMut()) {
     bench_with(name, WARMUP_ITERS, ITERS_PER_BATCH, f);
 }
@@ -34,21 +51,26 @@ fn bench(name: &str, f: impl FnMut()) {
 /// single iteration is orders of magnitude heavier than the substrate
 /// loops (e.g. a full fork restore + replay).
 fn bench_with(name: &str, warmup: u64, iters: u64, mut f: impl FnMut()) {
+    if filter().is_some_and(|f| !name.contains(f)) {
+        return;
+    }
     for _ in 0..warmup {
         f();
     }
+    // Picoseconds per iteration, so sub-ns differences survive.
     let mut per_batch = Summary::default();
     for _ in 0..BATCHES {
         let t0 = Instant::now();
         for _ in 0..iters {
             f();
         }
-        per_batch.record(t0.elapsed().as_nanos() as u64 / iters);
+        per_batch.record((t0.elapsed().as_nanos() * 1000 / u128::from(iters)) as u64);
     }
     println!(
-        "{name:<28} {:>8.1} ns/iter  (stddev {:>6.1}, {BATCHES} batches x {iters} iters)",
-        per_batch.mean(),
-        per_batch.stddev(),
+        "{name:<28} {:>8.1} ns/iter  (stddev {:>6.1}, min {:>8.1}, {BATCHES} batches x {iters} iters)",
+        per_batch.mean() / 1000.0,
+        per_batch.stddev() / 1000.0,
+        per_batch.min as f64 / 1000.0,
     );
 }
 
@@ -137,6 +159,43 @@ fn bench_cache() {
             )
             .latency,
         );
+    });
+
+    // Cold fills on the Table 2 geometry, the path the 2 KB cells of
+    // `fig7_cold` take: each store fills a line into an LLC set no line
+    // has touched since the last crash flush, which every `sets` fills
+    // drops every tag chunk again.
+    let sets = cfg.llc.sets();
+    let mut h = CacheHierarchy::new(&cfg);
+    let mut i = 0u64;
+    bench("cache_fill_table2", || {
+        if i.is_multiple_of(sets) {
+            h.invalidate_all();
+        }
+        let line = LineAddr(PM_BASE / 64 + i % sets);
+        i += 1;
+        black_box(
+            h.access(0, line, AccessKind::Store, Some(([0u8; 64], true)), 150)
+                .latency,
+        );
+    });
+
+    // Lookups of uncached lines whose LLC sets hold eight lines each: the
+    // path of verifying a warm hierarchy.
+    let mut h = CacheHierarchy::new(&cfg);
+    for i in 0..8 * sets {
+        h.access(
+            (i % 4) as usize,
+            LineAddr(PM_BASE / 64 + i),
+            AccessKind::Load,
+            Some(([0u8; 64], true)),
+            150,
+        );
+    }
+    let mut i = 0u64;
+    bench("cache_probe_absent", || {
+        i += 1;
+        black_box(h.peek_level(0, LineAddr(PM_BASE / 64 + 64 * sets + i % sets)));
     });
 }
 

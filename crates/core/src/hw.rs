@@ -308,13 +308,10 @@ impl Hw {
         line: LineAddr,
         kind: PersistKind,
         rid: Option<Rid>,
-        logged_data_line: Option<LineAddr>,
         now: Cycle,
     ) -> Option<OpId> {
         let data = self.caches.writeback_copy(line)?;
-        let mut op = PersistOp::new(kind, line, data, rid);
-        op.logged_data_line = logged_data_line;
-        Some(self.mem.submit(op, now))
+        Some(self.mem.submit(PersistOp::new(kind, line, data, rid), now))
     }
 
     /// Submits a persist operation carrying explicit `data` (used when the
@@ -326,12 +323,10 @@ impl Hw {
         target: LineAddr,
         data: [u8; 64],
         rid: Option<Rid>,
-        logged_data_line: Option<LineAddr>,
         now: Cycle,
     ) -> OpId {
-        let mut op = PersistOp::new(kind, target, data, rid);
-        op.logged_data_line = logged_data_line;
-        self.mem.submit(op, now)
+        self.mem
+            .submit(PersistOp::new(kind, target, data, rid), now)
     }
 
     /// Default eviction handling: dirty PM lines are written back through
@@ -472,7 +467,7 @@ mod tests {
         let mut h = hw();
         let line = LineAddr(h.layout.heap_base().0 / 64);
         h.scheme_store(0, line, 0, &[9]);
-        let id = h.persist_line(line, PersistKind::SwPersist, None, None, Cycle(0));
+        let id = h.persist_line(line, PersistKind::SwPersist, None, Cycle(0));
         assert!(id.is_some());
         assert!(!h.caches.line(line).unwrap().dirty);
         h.advance_mem(Cycle(1_000_000));
@@ -483,13 +478,7 @@ mod tests {
     fn persist_uncached_line_is_none() {
         let mut h = hw();
         assert!(h
-            .persist_line(
-                LineAddr(12345),
-                PersistKind::SwPersist,
-                None,
-                None,
-                Cycle(0)
-            )
+            .persist_line(LineAddr(12345), PersistKind::SwPersist, None, Cycle(0))
             .is_none());
     }
 

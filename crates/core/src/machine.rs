@@ -1673,7 +1673,6 @@ mod tests {
             a.line(),
             [5u8; 64],
             None,
-            None,
             Cycle(0),
         );
         let five = u64::from_le_bytes([5; 8]);

@@ -169,7 +169,7 @@ impl Asap {
                 Some(st) if st.lock_bit => {} // LPO outstanding: wait
                 Some(_) => {
                     if hw
-                        .persist_line(line, PersistKind::Dpo, Some(rid), None, now)
+                        .persist_line(line, PersistKind::Dpo, Some(rid), now)
                         .is_some()
                     {
                         entry.slots[i].dpo = DpoState::Initiated;
@@ -422,14 +422,7 @@ impl Asap {
         let cur_addr = self.lh.get(rid).expect("slot just ensured").header_addr;
         let i = self.log_tracker.reserve_slot(cur_addr);
         let entry_addr = RecordHeader::entry_addr(cur_addr, i);
-        let lpo = hw.submit_value(
-            PersistKind::Lpo,
-            entry_addr.line(),
-            old,
-            Some(rid),
-            Some(line),
-            now,
-        );
+        let lpo = hw.submit_value(PersistKind::Lpo, entry_addr.line(), old, Some(rid), now);
         self.log_tracker.register(lpo, cur_addr, i, line);
         self.lpo_of.insert(lpo, line);
         hw.stats.bump(Counter::AsapLpo);

@@ -359,14 +359,7 @@ impl InflightHeaders {
         bytes: [u8; 64],
         now: Cycle,
     ) -> OpId {
-        let id = hw.submit_value(
-            PersistKind::LogHeader,
-            addr.line(),
-            bytes,
-            Some(rid),
-            None,
-            now,
-        );
+        let id = hw.submit_value(PersistKind::LogHeader, addr.line(), bytes, Some(rid), now);
         self.pending.insert(id, (addr, bytes));
         id
     }

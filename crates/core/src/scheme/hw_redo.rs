@@ -161,14 +161,7 @@ impl HwRedo {
         };
         let i = self.log_tracker.reserve_slot(cur);
         let entry_addr = RecordHeader::entry_addr(cur, i);
-        let lpo = hw.submit_value(
-            PersistKind::Lpo,
-            entry_addr.line(),
-            data,
-            Some(rid),
-            Some(line),
-            now,
-        );
+        let lpo = hw.submit_value(PersistKind::Lpo, entry_addr.line(), data, Some(rid), now);
         self.log_tracker.register(lpo, cur, i, line);
         self.threads[thread].pending_log.push(lpo);
         if i + 1 == MAX_ENTRIES {
@@ -381,10 +374,8 @@ impl Scheme for HwRedo {
         for (line, _) in th.lines.iter() {
             hw.mem.drop_pending_dpo(line, rid); // supersede earlier DPOs
             let id = match self.redirect.remove(&line) {
-                Some(data) => {
-                    Some(hw.submit_value(PersistKind::Dpo, line, data, Some(rid), None, now))
-                }
-                None => hw.persist_line(line, PersistKind::Dpo, Some(rid), None, now),
+                Some(data) => Some(hw.submit_value(PersistKind::Dpo, line, data, Some(rid), now)),
+                None => hw.persist_line(line, PersistKind::Dpo, Some(rid), now),
             };
             if let Some(id) = id {
                 pending_dpo.push(id);

@@ -112,7 +112,7 @@ impl HwUndo {
                         let region = th.active.as_ref().expect("region active");
                         if region.ending {
                             if let Some(dpo) =
-                                hw.persist_line(line, PersistKind::Dpo, Some(region.rid), None, *at)
+                                hw.persist_line(line, PersistKind::Dpo, Some(region.rid), *at)
                             {
                                 th.pending_dpo.push(dpo);
                             }
@@ -215,14 +215,7 @@ impl Scheme for HwUndo {
             st.lock_bit = true;
             st.owner = Some(rid);
         }
-        let lpo = hw.submit_value(
-            PersistKind::Lpo,
-            entry_addr.line(),
-            old,
-            Some(rid),
-            Some(line),
-            now,
-        );
+        let lpo = hw.submit_value(PersistKind::Lpo, entry_addr.line(), old, Some(rid), now);
         self.log_tracker.register(lpo, cur, i, line);
         self.lpo_of.insert(lpo, (thread, line));
         self.threads[thread].pending_log.push(lpo);
@@ -259,7 +252,7 @@ impl Scheme for HwUndo {
         // already completed; the rest fire from the acceptance handler.
         for (line, &done) in th.lines.iter() {
             if done {
-                if let Some(dpo) = hw.persist_line(line, PersistKind::Dpo, Some(rid), None, now) {
+                if let Some(dpo) = hw.persist_line(line, PersistKind::Dpo, Some(rid), now) {
                     th.pending_dpo.push(dpo);
                 }
             }

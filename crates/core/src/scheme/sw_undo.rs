@@ -83,7 +83,7 @@ fn clwb_into(
     line: LineAddr,
     now: Cycle,
 ) -> Cycle {
-    if let Some(id) = hw.persist_line(line, PersistKind::SwPersist, Some(rid), None, now) {
+    if let Some(id) = hw.persist_line(line, PersistKind::SwPersist, Some(rid), now) {
         outstanding.push(id);
     }
     now + CLWB_COST

@@ -33,6 +33,6 @@ pub mod system;
 pub use bloom::BloomFilter;
 pub use cache::{Access, CacheHierarchy, Evicted, HitLevel};
 pub use line::LineState;
-pub use persist::{MemEvent, OpId, PersistKind, PersistOp};
+pub use persist::{MemEvent, OpId, OpSummary, PersistKind, PersistOp};
 pub use rid::Rid;
 pub use system::MemSystem;

@@ -61,14 +61,10 @@ pub struct PersistOp {
     pub data: [u8; LINE_SIZE],
     /// The atomic region on whose behalf the write happens, if any.
     pub rid: Option<Rid>,
-    /// For LPOs: the *data* line whose old value this log entry holds.
-    /// Used by the DPO-dropping optimization (§5.1) — the LPO "includes
-    /// the address of the DPO".
-    pub logged_data_line: Option<LineAddr>,
 }
 
 impl PersistOp {
-    /// Convenience constructor for ops that don't log another line.
+    /// An op of `kind` writing `data` to `target` for region `rid`.
     pub fn new(
         kind: PersistKind,
         target: LineAddr,
@@ -80,9 +76,30 @@ impl PersistOp {
             target,
             data,
             rid,
-            logged_data_line: None,
         }
     }
+
+    /// The op without its data bytes, as [`MemEvent`]s carry it.
+    pub fn summary(&self) -> OpSummary {
+        OpSummary {
+            kind: self.kind,
+            target: self.target,
+            rid: self.rid,
+        }
+    }
+}
+
+/// What a [`MemEvent`] says about its op: everything but the 64 data
+/// bytes, which no event reader needs (the data reaches the image through
+/// the WPQ).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OpSummary {
+    /// What kind of write the op is.
+    pub kind: PersistKind,
+    /// The PM line it writes.
+    pub target: LineAddr,
+    /// The atomic region on whose behalf it writes, if any.
+    pub rid: Option<Rid>,
 }
 
 impl fmt::Debug for PersistOp {
@@ -91,12 +108,12 @@ impl fmt::Debug for PersistOp {
             .field("kind", &self.kind)
             .field("target", &self.target)
             .field("rid", &self.rid)
-            .field("logged_data_line", &self.logged_data_line)
             .finish()
     }
 }
 
-/// Notifications surfaced by [`MemSystem::advance_to`].
+/// Notifications surfaced by [`MemSystem::advance_to`]. Each carries its
+/// op's [`OpSummary`], not the op, so an event is 64 bytes.
 ///
 /// [`MemSystem::advance_to`]: crate::system::MemSystem::advance_to
 #[derive(Clone, Debug)]
@@ -107,8 +124,8 @@ pub enum MemEvent {
     Accepted {
         /// The operation's id.
         id: OpId,
-        /// A copy of the operation.
-        op: PersistOp,
+        /// The operation's kind, target and region.
+        op: OpSummary,
         /// Acceptance (= persistence) time.
         at: Cycle,
         /// Time the ack reaches the issuing controller.
@@ -119,8 +136,8 @@ pub enum MemEvent {
     PmWritten {
         /// The operation's id.
         id: OpId,
-        /// A copy of the operation.
-        op: PersistOp,
+        /// The operation's kind, target and region.
+        op: OpSummary,
         /// Media write completion time.
         at: Cycle,
     },
@@ -150,14 +167,8 @@ mod tests {
     }
 
     #[test]
-    fn new_op_has_no_logged_line() {
-        let op = PersistOp::new(PersistKind::Dpo, LineAddr(1), [0; 64], None);
-        assert_eq!(op.logged_data_line, None);
-    }
-
-    #[test]
     fn event_at_returns_timestamp() {
-        let op = PersistOp::new(PersistKind::Dpo, LineAddr(1), [0; 64], None);
+        let op = PersistOp::new(PersistKind::Dpo, LineAddr(1), [0; 64], None).summary();
         let e = MemEvent::Accepted {
             id: OpId(1),
             op,

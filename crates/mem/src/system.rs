@@ -741,7 +741,11 @@ fn handle_ch(cfg: &MemConfig, ch: &mut Channel, fx: &mut DirectFx<'_>, t: Cycle,
                     residency,
                 },
             );
-            fx.emit(MemEvent::PmWritten { id, op, at: t });
+            fx.emit(MemEvent::PmWritten {
+                id,
+                op: op.summary(),
+                at: t,
+            });
             // A slot freed: accept the oldest pending arrival, if any.
             if let Some(node) = ch.pending.pop_front() {
                 accept_ch(cfg, ch, fx, t, node);
@@ -765,9 +769,8 @@ fn accept_ch(cfg: &MemConfig, ch: &mut Channel, fx: &mut DirectFx<'_>, t: Cycle,
         seq,
         accepted_at: t,
     });
-    let FwdNode {
-        id, op, submitted, ..
-    } = ch.fwd_nodes[node as usize];
+    let n = &ch.fwd_nodes[node as usize];
+    let (id, op, submitted) = (n.id, n.op.summary(), n.submitted);
     fx.stats.sample(Dist::MemWpqOccupancy, ch.wpq.len() as u64);
     // Persist latency: submit to persistence-domain acceptance (the
     // durability point under ADR, §4.1).
@@ -1036,9 +1039,10 @@ mod tests {
         // All ops on one channel; the first occupies the write engine so
         // the rest stay droppable in the WPQ.
         mem.submit(dpo(pm_line(0), 0, None), Cycle(0));
-        let mut lpo = PersistOp::new(PersistKind::Lpo, pm_line(nch), [1; 64], Some(rid));
-        lpo.logged_data_line = Some(pm_line(9));
-        mem.submit(lpo, Cycle(0));
+        mem.submit(
+            PersistOp::new(PersistKind::Lpo, pm_line(nch), [1; 64], Some(rid)),
+            Cycle(0),
+        );
         mem.submit(
             PersistOp::new(PersistKind::LogHeader, pm_line(2 * nch), [2; 64], Some(rid)),
             Cycle(0),
@@ -1228,6 +1232,12 @@ mod tests {
     #[test]
     fn channel_events_are_24_bytes() {
         assert_eq!(std::mem::size_of::<(u32, ChEvent)>(), 24);
+    }
+
+    /// A memory event carries its op's summary, not the op's data bytes.
+    #[test]
+    fn mem_events_are_64_bytes() {
+        assert_eq!(std::mem::size_of::<MemEvent>(), 64);
     }
 
     #[test]

@@ -342,7 +342,7 @@ fn collect(
             let drained = m.drain();
             bench.verify(m).expect("structural invariants after run");
             // Cross-validate the sharer presence masks against the tag
-            // arrays. The walk is O(cache) with a hash probe per line,
+            // arrays. The walk is O(cache) with a set lookup per line,
             // so release builds only pay it for >64-core machines —
             // the multi-word-mask stripes the unit tests can't cover at
             // full figure scale; debug builds (the test suites) check
