@@ -80,13 +80,15 @@ grep -q "all 32 forks identical to legacy re-runs" target/crash_sweep.out \
 sed -n 's/^crash_sweep: /    /p' target/crash_sweep.err
 
 echo "==> parallel sweep smoke (1000 lifecycle points, ASAP_SWEEP_JOBS=2 vs serial)"
-# Walked sweep over a 1000-point lifecycle plan, run twice: serial
-# and with two fork workers. Stdout must be byte-identical (determinism
-# at any ASAP_SWEEP_JOBS), every point must recover, and on multi-CPU
-# hosts the parallel pass must reach at least 1.25x the serial points/s
-# (warn-only on 1-CPU hosts, where there is nothing to win). The floor
-# catches a pool that runs serially; on a 2-CPU host back-to-back pairs
-# read anywhere from ~1.5x to ~2.2x, so a 2x floor failed on noise.
+# Walked sweep over a 1000-point lifecycle plan, run twice: serially,
+# and split into two chunks that each walk from their own setup on a
+# worker of their own. Stdout must be byte-identical (determinism at
+# any ASAP_SWEEP_JOBS), every point must recover, and on multi-CPU
+# hosts the two-chunk pass must reach at least 1.25x the serial
+# points/s (warn-only on 1-CPU hosts, where there is nothing to win).
+# The floor catches chunks that run serially. The first chunk repeats
+# setup and the prefix up to its last point, so two chunks read ~1.6x
+# serial on a 2-CPU host in the median, with host noise either side.
 ASAP_OPS=200 ASAP_THREADS=2 ASAP_CRASH_SWEEP=1000 ASAP_RUNCACHE=off \
   cargo run --release -q --example crash_sweep >target/sweep_serial.out 2>target/sweep_serial.err
 ASAP_OPS=200 ASAP_THREADS=2 ASAP_CRASH_SWEEP=1000 ASAP_RUNCACHE=off \

@@ -12,11 +12,11 @@
 //! a before/after alternates the two builds back to back.
 //!
 //! `cargo bench -p asap-bench --bench micro -- <filter>` runs only the
-//! benchmarks whose name contains `<filter>` (every group's setup still
+//! benchmarks whose name starts with `<filter>` (every group's setup still
 //! runs).
 
 use std::hint::black_box;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use asap_core::logbuf::RecordHeader;
@@ -51,7 +51,7 @@ fn bench(name: &str, f: impl FnMut()) {
 /// single iteration is orders of magnitude heavier than the substrate
 /// loops (e.g. a full fork restore + replay).
 fn bench_with(name: &str, warmup: u64, iters: u64, mut f: impl FnMut()) {
-    if filter().is_some_and(|f| !name.contains(f)) {
+    if filter().is_some_and(|f| !name.starts_with(f)) {
         return;
     }
     for _ in 0..warmup {
@@ -164,11 +164,12 @@ fn bench_cache() {
     // Cold fills on the Table 2 geometry, the path the 2 KB cells of
     // `fig7_cold` take: each store fills a line into an LLC set no line
     // has touched since the last crash flush, which every `sets` fills
-    // drops every tag chunk again.
+    // drops every tag chunk again. A batch is `2 * sets` fills, so every
+    // batch holds exactly two flushes.
     let sets = cfg.llc.sets();
     let mut h = CacheHierarchy::new(&cfg);
     let mut i = 0u64;
-    bench("cache_fill_table2", || {
+    bench_with("cache_fill_table2", WARMUP_ITERS, 2 * sets, || {
         if i.is_multiple_of(sets) {
             h.invalidate_all();
         }
@@ -456,7 +457,6 @@ fn bench_sweep() {
     for i in 8..63 {
         region(&mut m, i);
     }
-    let near = m.snapshot();
 
     // Flat cadence: restore the cadence snapshot, replay the tail of
     // regions up to the crash point.
@@ -506,22 +506,6 @@ fn bench_sweep() {
         i += 1;
         region(&mut t2, i);
         fork(&mut t2, &mut copy);
-    });
-
-    // Send-snapshot fork dispatch: hand a snapshot to a worker thread
-    // and restore it into that worker's scratch machine — the fixed
-    // cross-thread cost `ASAP_SWEEP_JOBS` pays per chunk. The snapshot
-    // sits behind a `Mutex` (it is `Send` but not `Sync`, because the
-    // image keeps `Cell` page caches) exactly as the sweep spine does.
-    let snap = Mutex::new(near);
-    let scratch = Mutex::new(Machine::new(MachineConfig::small(SchemeKind::Asap, 1)));
-    bench_with("snapshot_fork_dispatch", 10, 100, || {
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let snap = snap.lock().unwrap();
-                scratch.lock().unwrap().restore(&snap);
-            });
-        });
     });
 }
 

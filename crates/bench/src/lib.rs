@@ -21,13 +21,13 @@
 //!   memoization (`off`/`mem`/`disk`, default `mem`; see [`runcache`]);
 //! - `ASAP_PROGRESS` — live status line on stderr (`1`/`on` enable);
 //! - `ASAP_CRASH_SWEEP` — crash-point count for the `crash_sweep`
-//!   example, which drives [`run_crash_sweep`] (one pass over the shared
-//!   prefix that crashes a copy of the live machine at each point,
+//!   example, which drives [`run_crash_sweep_with`] (one pass over the
+//!   workload that crashes a copy of the live machine at each point,
 //!   bit-identical to legacy `crash_after` cells);
 //! - `ASAP_SWEEP_JOBS` — worker threads for crash sweeps (default 1; at
-//!   more than one, the points split into chunks that each restore a
-//!   spine snapshot and walk from it, merging back in point order —
-//!   output is identical at any value).
+//!   more than one, the points split into chunks that each walk from
+//!   their own setup, merging back in point order — output is identical
+//!   at any value).
 //!
 //! Unrecognized `ASAP_`-prefixed variables draw a warning on stderr at
 //! grid startup (see [`asap_sim::warn_unknown_asap_env`]) — a typo'd
@@ -48,13 +48,11 @@ pub mod runcache;
 use std::any::Any;
 use std::collections::HashMap;
 
-use asap_core::machine::RunOutcome;
 use asap_core::scheme::SchemeKind;
 use asap_sim::obs::{self, metrics};
 use asap_sim::{Fingerprint, TelemetrySettings};
 use asap_workloads::{
-    run, run_sweep_with, BenchId, CrashPointOutcome, RunResult, SweepConfig, SweepResult,
-    WorkloadSpec,
+    run, walk_sweep, BenchId, CrashPointOutcome, RunResult, SweepResult, WorkloadSpec,
 };
 
 use progress::Progress;
@@ -99,11 +97,12 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Fork-dispatch worker threads for crash sweeps, from `ASAP_SWEEP_JOBS`
-/// (default 1 — the sweep's own parallelism is opt-in, separate from the
-/// grid pool's [`jobs`]; minimum 1). Sweep output is bit-identical at any
-/// value (`tests/parallel_equivalence.rs` and the sweep proptests hold
-/// the claim).
+/// Worker threads for crash sweeps, from `ASAP_SWEEP_JOBS` (default 1 —
+/// the sweep's own parallelism is opt-in, separate from the grid pool's
+/// [`jobs`]; minimum 1): the `jobs` of [`asap_workloads::walk_sweep`].
+/// Sweep output is bit-identical at any value
+/// (`tests/parallel_equivalence.rs` and the sweep proptests hold the
+/// claim).
 pub fn sweep_jobs() -> usize {
     std::env::var("ASAP_SWEEP_JOBS")
         .ok()
@@ -236,32 +235,32 @@ fn grid_with_cache(
     results
 }
 
-/// Runs a crash-point sweep for `spec` under the environment-configured
-/// result cache ([`RunCacheConfig::from_env`]).
+/// Runs a crash-point sweep for `spec` under the cache configuration
+/// `cache`.
 ///
-/// The sweep itself ([`asap_workloads::run_sweep_with`], walking) executes
-/// the shared prefix once and crashes a copy of the live machine at each
-/// crash point; this wrapper adds the memoization layer: every fork is keyed
-/// by the fingerprint of `spec.with_crash_after(point)` — the *same* key
-/// an ordinary [`run_grid`] cell for that spec would use, because the
-/// fork's result is byte-identical to the legacy re-run (enforced by the
-/// equivalence suite). Sweeps therefore dedupe against prior sweeps *and*
-/// against ordinary crash-cell grids across invocations. The baseline is
-/// cached under the unarmed spec's fingerprint in its plain-run form
+/// The sweep itself ([`asap_workloads::walk_sweep`] on [`sweep_jobs`]
+/// workers) runs the workload once per chunk of points and crashes a copy
+/// of the live machine at each crash point; this wrapper adds the
+/// memoization layer: every fork is keyed by the fingerprint of
+/// `spec.with_crash_after(point)` — the *same* key an ordinary
+/// [`run_grid`] cell for that spec would use, because the fork's result
+/// is byte-identical to the legacy re-run (enforced by the equivalence
+/// suite). Sweeps therefore dedupe against prior sweeps *and* against
+/// ordinary crash-cell grids across invocations. The baseline is cached
+/// under the unarmed spec's fingerprint in its plain-run form
 /// (crash-point summaries stripped), interchangeable with any non-sweep
 /// cell of the same spec.
-pub fn run_crash_sweep(spec: &WorkloadSpec, points: &[u64], snap_every: u64) -> SweepResult {
-    run_crash_sweep_with(spec, points, snap_every, &RunCacheConfig::from_env())
-}
-
-/// [`run_crash_sweep`] with an explicit cache configuration. Ticks the
-/// same progress line as a grid run, one cell per crash point plus one
-/// for the baseline. Stdout is untouched; results come back in point
-/// order whatever hits.
+///
+/// `_snap_every` is unused: the walk takes no snapshots. It stays only
+/// because the repository benchmark still passes it.
+///
+/// Ticks the same progress line as a grid run, one cell per crash point
+/// plus one for the baseline. Stdout is untouched; results come back in
+/// point order whatever hits.
 pub fn run_crash_sweep_with(
     spec: &WorkloadSpec,
     points: &[u64],
-    snap_every: u64,
+    _snap_every: u64,
     cache: &RunCacheConfig,
 ) -> SweepResult {
     asap_sim::warn_unknown_asap_env();
@@ -313,10 +312,7 @@ pub fn run_crash_sweep_with(
         // prefix has to be executed to reach the points anyway, and the
         // baseline's completion falls out of it for free.
         let missing: Vec<u64> = to_run.iter().map(|&i| points[i]).collect();
-        // The walk + env-configured fork pool: bit-identical to the
-        // serial flat sweep, only faster and memory-bounded.
-        let cfg = SweepConfig::tree(snap_every).with_jobs(sweep_jobs());
-        let sweep = run_sweep_with(spec, &missing, &cfg);
+        let sweep = walk_sweep(spec, &missing, sweep_jobs());
         prefix_writes = sweep.prefix_writes;
         replayed_writes = sweep.replayed_writes;
         for (&i, r) in to_run.iter().zip(sweep.forks) {
@@ -365,17 +361,7 @@ pub fn run_crash_sweep_with(
     baseline.crash_points = points
         .iter()
         .zip(&forks)
-        .map(|(&n, r)| CrashPointOutcome {
-            crash_after: n,
-            crashed: r.outcome == RunOutcome::Crashed,
-            uncommitted: r
-                .recovery
-                .as_ref()
-                .map_or(0, |x| x.uncommitted.len() as u64),
-            replayed: r.recovery.as_ref().map_or(0, |x| x.replayed.len() as u64),
-            restored_lines: r.recovery.as_ref().map_or(0, |x| x.restored_lines),
-            tx: r.tx,
-        })
+        .map(|(&n, r)| CrashPointOutcome::of(n, r))
         .collect();
     progress.finish();
     if cache.enabled() {

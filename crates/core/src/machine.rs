@@ -232,12 +232,12 @@ impl std::fmt::Debug for MachineSnapshot {
     }
 }
 
-// Snapshots move across host threads: the parallel crash-sweep engine
-// restores them inside pool workers. `Scheme: Send` (the only non-trivial
-// component — everything else is flat owned data; the PM image's
-// `Arc<Page>` table is `Send` by construction) makes this structural.
-// Snapshots are *not* `Sync`: the image keeps single-thread `Cell` caches,
-// so cross-thread sharing goes through a `Mutex`, never `&MachineSnapshot`.
+// Machines and snapshots may move across host threads. `Scheme: Send`
+// (the only non-trivial component — everything else is flat owned data;
+// the PM image's `Arc<Page>` table is `Send` by construction) makes this
+// structural. A parallel crash sweep moves neither: each chunk builds its
+// own machine on its worker. Neither is `Sync`: the image keeps
+// single-thread `Cell` caches, so no thread reads another's by reference.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<MachineSnapshot>();

@@ -175,9 +175,9 @@ pub struct SchemeGauges {
 /// (including any synchronous waiting the scheme performs).
 ///
 /// `Send` is a supertrait so `Box<dyn Scheme>` — and with it
+/// [`Machine`](crate::machine::Machine) and
 /// [`MachineSnapshot`](crate::machine::MachineSnapshot) — can move across
-/// host threads: the parallel crash-sweep engine dispatches forks to a
-/// worker pool. Schemes are plain owned data (no interior `Rc`/raw
+/// host threads. Schemes are plain owned data (no interior `Rc`/raw
 /// pointers), so every implementation satisfies the bound structurally.
 pub trait Scheme: Send {
     /// The scheme's kind.

@@ -177,8 +177,7 @@ pub struct MemoryImage {
 // different threads and fault their CoW copies concurrently without
 // contending (each `Arc::strong_count` check and page deep-copy touches
 // only that page's refcount). The `Cell` caches above keep it `!Sync`:
-// the sweep engine shares snapshots across workers behind a `Mutex`,
-// never by reference.
+// an image may move to another thread but is never shared by reference.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<MemoryImage>();

@@ -2,9 +2,10 @@
 //! handed back in item order.
 //!
 //! Both host-parallel layers of the harness run on it — the figure grid
-//! (one item per cell) and the crash-sweep fork dispatcher (one item per
-//! chunk of crash points). Simulated state never crosses an item, so the
-//! pool can only change the wall clock, never a result.
+//! (one item per cell) and the crash-sweep walk (one item per chunk of
+//! crash points, each walked from its own setup). Simulated state never
+//! crosses an item, so the pool can only change the wall clock, never a
+//! result.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,8 +14,8 @@ use std::thread;
 /// Runs `f(&mut state, i)` for every `i` in `0..n` and returns the results
 /// in index order, whatever order they finished in.
 ///
-/// Each element of `workers` is one worker's private state (a worker id, a
-/// scratch machine). Every worker gets one scoped thread and claims items
+/// Each element of `workers` is one worker's private state (a worker id,
+/// say). Every worker gets one scoped thread and claims items
 /// off a shared atomic index, so a slow item never idles a worker that
 /// could take the next one. With one worker — or at most one item — the
 /// items run inline on the calling thread; workers beyond `n` are dropped

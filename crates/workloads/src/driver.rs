@@ -2,7 +2,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Mutex;
 
 use asap_core::machine::{
     Machine, MachineConfig, MachineSnapshot, RunOutcome, StepFn, StepOutcome, ThreadCtx,
@@ -99,12 +98,13 @@ pub struct RunResult {
     /// Recovery report when the run crashed and recovered.
     pub recovery: Option<RecoveryReport>,
     /// Per-crash-point outcomes when this result is the baseline of a
-    /// [`run_sweep`] (empty for ordinary runs and sweep forks — a fork
-    /// stays byte-identical to its legacy `crash_after` equivalent).
+    /// sweep, [`walk_sweep`] or [`run_sweep`] (empty for ordinary runs and
+    /// sweep forks — a fork stays byte-identical to its legacy
+    /// `crash_after` equivalent).
     pub crash_points: Vec<CrashPointOutcome>,
 }
 
-/// One crash point's outcome in a [`run_sweep`] summary.
+/// One crash point's outcome in a sweep's summary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashPointOutcome {
     /// The crash point: power failure at the N-th post-setup persistent
@@ -121,6 +121,21 @@ pub struct CrashPointOutcome {
     pub restored_lines: u64,
     /// Transactions completed before the failure.
     pub tx: u64,
+}
+
+impl CrashPointOutcome {
+    /// The summary of a sweep's fork `fork` at crash point `crash_after`.
+    pub fn of(crash_after: u64, fork: &RunResult) -> Self {
+        let recovery = fork.recovery.as_ref();
+        CrashPointOutcome {
+            crash_after,
+            crashed: fork.outcome == RunOutcome::Crashed,
+            uncommitted: recovery.map_or(0, |x| x.uncommitted.len() as u64),
+            replayed: recovery.map_or(0, |x| x.replayed.len() as u64),
+            restored_lines: recovery.map_or(0, |x| x.restored_lines),
+            tx: fork.tx,
+        }
+    }
 }
 
 // The parallel figure harness moves whole results across host threads:
@@ -215,12 +230,12 @@ fn machine_for(spec: &WorkloadSpec) -> Machine {
 /// Panics if a structural invariant or crash-consistency check fails —
 /// that is a bug in the scheme under test, which is the point.
 pub fn run(spec: &WorkloadSpec) -> RunResult {
-    let (mut m, mut bench, marks) = prepare(spec);
+    let (mut m, bench, marks) = prepare(spec);
     let state = thread_states(spec);
     let mut steps = shared_steps(bench, spec, &state);
     let outcome = m.run(&mut steps);
     drop(steps);
-    collect(&mut m, &mut bench, spec, outcome, &marks)
+    collect(&mut m, &bench, spec, outcome, &marks)
 }
 
 /// Boundary measurements taken between setup and the timed run, shared by
@@ -326,7 +341,7 @@ fn shared_steps(bench: AnyBench, spec: &WorkloadSpec, state: &SharedStates) -> V
 /// drain-or-recover, verification, and measurement into a [`RunResult`].
 fn collect(
     m: &mut Machine,
-    bench: &mut AnyBench,
+    bench: &AnyBench,
     spec: &WorkloadSpec,
     outcome: RunOutcome,
     marks: &SetupMarks,
@@ -408,10 +423,11 @@ fn collect(
     }
 }
 
-/// The result of a [`run_sweep`]: the uninterrupted baseline run (whose
-/// [`RunResult::crash_points`] summarizes every fork) plus one full
-/// [`RunResult`] per crash point, each byte-identical to what [`run`]
-/// would produce for `spec.with_crash_after(point)`.
+/// The result of a crash-point sweep ([`walk_sweep`] or [`run_sweep`]):
+/// the uninterrupted baseline run (whose [`RunResult::crash_points`]
+/// summarizes every fork) plus one full [`RunResult`] per crash point,
+/// each byte-identical to what [`run`] would produce for
+/// `spec.with_crash_after(point)`.
 #[derive(Clone, Debug)]
 pub struct SweepResult {
     /// The uninterrupted prefix run, crash-point summaries attached.
@@ -421,8 +437,8 @@ pub struct SweepResult {
     /// Post-setup persistent writes the full prefix performed — the upper
     /// end of the meaningful `crash_after` coordinate for this spec.
     /// Callers use it to place sweep points (e.g. quantiles of the write
-    /// range); a pilot `run_sweep(spec, &[], u64::MAX)` measures it for
-    /// the cost of one uninterrupted run.
+    /// range); a pilot `walk_sweep(spec, &[], 1)` measures it for the
+    /// cost of one uninterrupted run.
     pub prefix_writes: u64,
     /// Persistent writes re-simulated across all forks: for a flat fork,
     /// the distance from its restored snapshot to where its run stopped.
@@ -432,76 +448,151 @@ pub struct SweepResult {
     pub replayed_writes: u64,
 }
 
-/// Sweep-engine tuning: how forks are made and dispatched.
+impl SetupMarks {
+    /// The absolute write count at which a `crash_after = n` run crashes.
+    /// `n = 0` fires on the next write exactly like `n = 1` (the arming
+    /// check is `>=`).
+    fn crash_write(&self, n: u64) -> u64 {
+        self.armed_base + n.max(1)
+    }
+}
+
+/// Point indices in ascending point order (request order among equals).
+fn sorted_order(points: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    order.sort_by_key(|&i| (points[i], i));
+    order
+}
+
+/// Counts one fork in the `snapshot.forks` metric, and the writes it
+/// replayed in `snapshot.replayed_writes`.
+fn note_fork(replayed: u64) {
+    use asap_sim::obs::metrics;
+    metrics::counter("snapshot.forks").inc();
+    metrics::counter("snapshot.replayed_writes").add(replayed);
+}
+
+/// Runs a crash-point sweep over one workload: the walk. The points sort
+/// ascending and split into `jobs` contiguous chunks (at most one per
+/// point, at least one), each an item of [`asap_sim::pool::ordered`] —
+/// at one job the single chunk runs inline on the calling thread. Each
+/// chunk builds its own machine from setup and runs the workload, and at
+/// each of its points' writes a cache-less copy of the live machine
+/// crashes, recovers and is verified while the run carries on
+/// ([`Machine::crash_copy`]): no snapshot, restore or replay. The chunk
+/// holding the largest points runs to the end and yields the baseline;
+/// the others stop after their last point.
 ///
-/// The configuration never affects results — every combination produces
-/// bit-identical [`RunResult`]s (the equivalence suites enforce it) —
-/// only wall clock and resident memory.
-#[derive(Clone, Copy, Debug)]
-pub struct SweepConfig {
-    /// Spine snapshot cadence in persistent writes (quantized to step
-    /// boundaries; minimum 1). A serial walk takes no snapshots.
-    pub snap_every: u64,
-    /// Most spine snapshots retained (0 = unbounded). When the prefix
-    /// outgrows the budget, every other spine snapshot is evicted and the
-    /// cadence doubles — memory stays O(budget) while worst-case replay
-    /// distance stays O(prefix / budget).
-    pub snap_budget: usize,
-    /// Walk the points in one pass: the live machine steps through them
-    /// in ascending order, and at each point's write a cache-less copy of
-    /// it crashes, recovers and is verified while the live machine
-    /// carries on ([`Machine::crash_copy`]). `false` is the flat
-    /// reference path: every fork restores the latest spine snapshot
-    /// before its point and replays, armed, to the legacy power failure.
-    pub walk: bool,
-    /// Fork-dispatch worker threads on [`asap_sim::pool::ordered`] (1 =
-    /// inline on the calling thread; results are identical either way).
-    /// A walk at 1 job is the prefix pass itself; at more, each chunk of
-    /// points restores one spine snapshot and walks from there.
-    pub jobs: usize,
+/// Every chunk starts from the same deterministic setup as [`run`] and
+/// steps through the same [`Machine::step_thread`] loop, so it reaches
+/// each of its points' writes in the state the legacy run crashes in,
+/// and results merge by point index. So a fork's `RunResult` is
+/// byte-identical to `run(&spec.with_crash_after(point))` at any `jobs`
+/// — the equivalence suites enforce it — and the baseline is what
+/// [`run`] returns for the unarmed spec, plus the `crash_points` summary.
+///
+/// # Panics
+///
+/// Panics if `spec.crash_after` is set (the sweep owns crash arming), or
+/// if a scheme invariant or crash-consistency check fails in any fork;
+/// that panic re-raises once every chunk is back.
+pub fn walk_sweep(spec: &WorkloadSpec, points: &[u64], jobs: usize) -> SweepResult {
+    assert!(
+        spec.crash_after.is_none(),
+        "sweep specs must not pre-arm a crash (the points are the sweep's)"
+    );
+    let order = sorted_order(points);
+    let chunks = jobs.clamp(1, points.len().max(1));
+    let chunk = |c: usize| &order[c * order.len() / chunks..(c + 1) * order.len() / chunks];
+    let walked = asap_sim::pool::ordered(vec![(); chunks], chunks, |_, c| {
+        walk(spec, points, chunk(c), c + 1 == chunks)
+    });
+    let mut forks: Vec<Option<RunResult>> = vec![None; points.len()];
+    let mut end = None;
+    for w in walked {
+        let (fired, tail) = w.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        for (i, r) in fired {
+            forks[i] = Some(r);
+        }
+        end = end.or(tail);
+    }
+    let (baseline, prefix_writes) = end.expect("the last chunk runs to the end");
+    assemble(spec, points, forks, baseline, prefix_writes, 0)
 }
 
-impl SweepConfig {
-    /// The flat reference layout: unbounded spine, one restore and one
-    /// armed replay per point, serial dispatch.
-    pub fn flat(snap_every: u64) -> Self {
-        SweepConfig {
-            snap_every,
-            snap_budget: 0,
-            walk: false,
-            jobs: 1,
+/// The forks a walk fired, as `(point index, fork result)`.
+type Fired = Vec<(usize, RunResult)>;
+
+/// One chunk of a [`walk_sweep`]: builds a machine from setup and steps
+/// it until every point of `idxs` (indices into `points`, in ascending
+/// point order) has fired — or, when `to_end`, to the end of the run,
+/// returning the completed baseline and its post-setup write count too.
+/// At each point's write a [`CrashHook`](asap_core::machine::CrashHook)
+/// takes a [`Machine::crash_copy`] of the live machine, which is
+/// recovered, verified and collected while the live machine carries on.
+/// Points that fire on the same write share one copy. Returns `(point
+/// index, fork result)` per point that fired; points beyond the run's
+/// last write are the caller's.
+fn walk(
+    spec: &WorkloadSpec,
+    points: &[u64],
+    idxs: &[usize],
+    to_end: bool,
+) -> (Fired, Option<(RunResult, u64)>) {
+    let (mut m, bench, marks) = prepare(spec);
+    let state = thread_states(spec);
+    let target = |i: usize| marks.crash_write(points[i]);
+    let fspec = |i: usize| spec.with_crash_after(points[i]);
+    let mut fired = Vec::with_capacity(idxs.len());
+    let mut copy: Option<Machine> = None;
+    let mut next = 0usize;
+    let mut hook = |live: &Machine| {
+        let first = next;
+        while next < idxs.len() && target(idxs[next]) <= live.pm_write_ops() {
+            note_fork(0);
+            next += 1;
         }
-    }
-
-    /// The walk, with a budgeted spine for parallel chunks.
-    pub fn tree(snap_every: u64) -> Self {
-        SweepConfig {
-            snap_every,
-            snap_budget: 64,
-            walk: true,
-            jobs: 1,
+        let c = live.crash_copy(&mut copy);
+        let r = collect(c, &bench, &fspec(idxs[first]), RunOutcome::Crashed, &marks);
+        // Give the allocator maps back: while the copy shares them, the
+        // live machine's next alloc or free would copy them first. The
+        // copy keeps its image pages, so the next refresh re-points only
+        // the pages either side rewrote.
+        let hw = c.hw_mut();
+        hw.heap.release();
+        hw.dram_heap.release();
+        for &i in &idxs[first + 1..next] {
+            let mut ri = r.clone();
+            ri.spec = fspec(i);
+            fired.push((i, ri));
         }
+        fired.push((idxs[first], r));
+        idxs.get(next).map(|&i| target(i))
+    };
+    if let Some(&i) = idxs.first() {
+        m.arm_crash_after_additional(target(i) - m.pm_write_ops());
     }
-
-    /// Sets the fork-dispatch worker count.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
+    let mut steps = shared_steps(bench, spec, &state);
+    m.begin_schedule();
+    while to_end || m.crash_armed().is_some() {
+        let Some(t) = m.next_runnable() else { break };
+        m.step_thread_with(t, &mut steps[t], &mut hook);
     }
-
-    /// Sets the spine snapshot budget (0 = unbounded).
-    pub fn with_budget(mut self, budget: usize) -> Self {
-        self.snap_budget = budget;
-        self
-    }
+    let end = to_end.then(|| {
+        let prefix_writes = m.pm_write_ops() - marks.armed_base;
+        let baseline = collect(&mut m, &bench, spec, RunOutcome::Completed, &marks);
+        (baseline, prefix_writes)
+    });
+    (fired, end)
 }
 
-/// Runs a crash-point sweep over one workload with the flat reference
-/// layout, [`SweepConfig::flat`]: the prefix simulates once, machine
-/// snapshots are taken copy-on-write every `snap_every` persistent writes
-/// (quantized to step boundaries), and every crash point forks from the
-/// latest preceding snapshot instead of re-simulating from cycle 0. See
-/// [`run_sweep_with`] for the one-pass walk and parallel dispatch.
+/// Runs a crash-point sweep over one workload the flat way, serially on
+/// the calling thread: the reference that [`walk_sweep`] is tested
+/// against. The prefix simulates once, taking copy-on-write machine
+/// snapshots every `snap_every` persistent writes (quantized to step
+/// boundaries; minimum 1), and every crash point restores the latest
+/// snapshot before its write and replays, armed, through the same
+/// [`Machine::run`] loop as [`run`] to the legacy power failure.
 ///
 /// Each fork arms the power failure at exactly the absolute write count
 /// the legacy path would have crashed on, and both paths execute the same
@@ -515,317 +606,93 @@ impl SweepConfig {
 /// Panics if `spec.crash_after` is set (the sweep owns crash arming), or
 /// if a scheme invariant or crash-consistency check fails in any fork.
 pub fn run_sweep(spec: &WorkloadSpec, points: &[u64], snap_every: u64) -> SweepResult {
-    run_sweep_with(spec, points, &SweepConfig::flat(snap_every))
-}
-
-/// A spine snapshot: machine plus driver state at a step boundary.
-type SpineSnap = (MachineSnapshot, Vec<ThreadState>);
-
-/// State one sweep's fork workers share by reference.
-struct SweepShared<'a> {
-    spec: &'a WorkloadSpec,
-    marks: SetupMarks,
-    /// Requested crash points, in request order.
-    points: &'a [u64],
-    /// Spine snapshots with their `pm_write_ops`, ascending. `Mutex`
-    /// because a snapshot is `Send` but not `Sync` (the PM image keeps
-    /// single-thread `Cell` caches): workers hold the lock only for the
-    /// restore.
-    spine: Vec<(u64, Mutex<SpineSnap>)>,
-    bench: AnyBench,
-}
-
-impl SweepShared<'_> {
-    /// The absolute write count at which point `i` crashes. `n = 0` fires
-    /// on the next write exactly like `n = 1` (the arming check is `>=`).
-    fn target(&self, i: usize) -> u64 {
-        self.marks.armed_base + self.points[i].max(1)
-    }
-
-    /// Restores `m` and `state` to the latest spine snapshot strictly
-    /// below point `i`'s crashing write, returning its write count.
-    fn restore_spine(&self, i: usize, m: &mut Machine, state: &SharedStates) -> u64 {
-        let target = self.target(i);
-        let (w, snap) = &self.spine[self.spine.partition_point(|(w, _)| *w < target) - 1];
-        let g = snap.lock().expect("no restore panics holding the lock");
-        m.restore(&g.0);
-        state.borrow_mut().clone_from(&g.1);
-        *w
-    }
-}
-
-/// Counts one fork in the `snapshot.forks` metric, and the writes it
-/// replayed in `snapshot.replayed_writes`.
-fn note_fork(replayed: u64) {
     use asap_sim::obs::metrics;
-    metrics::counter("snapshot.forks").inc();
-    metrics::counter("snapshot.replayed_writes").add(replayed);
-}
-
-/// The flat reference path over `idxs`: each point restores the latest
-/// preceding spine snapshot and replays, armed, through the same
-/// [`Machine::run`] loop as [`run`] to the legacy power failure. Returns
-/// `(point index, fork result, replayed writes)` per point.
-fn flat_forks(
-    sh: &SweepShared<'_>,
-    idxs: &[usize],
-    m: &mut Machine,
-) -> Vec<(usize, RunResult, u64)> {
-    let spec = sh.spec;
-    let mut bench = sh.bench;
-    let state: SharedStates = Rc::new(RefCell::new(Vec::new()));
-    idxs.iter()
-        .map(|&i| {
-            let n = sh.points[i];
-            let snap_writes = sh.restore_spine(i, m, &state);
-            m.arm_crash_after_additional(sh.marks.armed_base + n - snap_writes);
-            let mut steps = shared_steps(bench, spec, &state);
-            let outcome = m.run(&mut steps);
-            drop(steps);
-            let replayed = m.pm_write_ops() - snap_writes;
-            note_fork(replayed);
-            let r = collect(m, &mut bench, &spec.with_crash_after(n), outcome, &sh.marks);
-            (i, r, replayed)
-        })
-        .collect()
-}
-
-/// The walk: steps `m` (with `state`, its driver state) from a step
-/// boundary until every point of `idxs` (sorted ascending) has fired —
-/// or to the end of the run when `to_end`. At each point's write a
-/// [`CrashHook`](asap_core::machine::CrashHook) takes a
-/// [`Machine::crash_copy`] of the live machine, which is recovered,
-/// verified and collected while the live machine carries on. Points that
-/// fire on the same write share one copy. Returns `(point index, fork
-/// result, replayed writes)` per point that fired — a walked fork replays
-/// nothing, so always 0; points beyond the run's last write are the
-/// caller's.
-fn walk(
-    sh: &SweepShared<'_>,
-    idxs: &[usize],
-    m: &mut Machine,
-    state: &SharedStates,
-    to_end: bool,
-) -> Vec<(usize, RunResult, u64)> {
-    let spec = sh.spec;
-    let mut bench = sh.bench;
-    let mut done = Vec::with_capacity(idxs.len());
-    let mut copy: Option<Machine> = None;
-    let mut next = 0usize;
-    let mut hook = |live: &Machine| {
-        let fired = live.pm_write_ops();
-        let first = next;
-        while next < idxs.len() && sh.target(idxs[next]) <= fired {
-            note_fork(0);
-            next += 1;
-        }
-        let fspec = |i: usize| spec.with_crash_after(sh.points[i]);
-        let c = live.crash_copy(&mut copy);
-        let r = collect(
-            c,
-            &mut bench,
-            &fspec(idxs[first]),
-            RunOutcome::Crashed,
-            &sh.marks,
-        );
-        // Give the allocator maps back: while the copy shares them, the
-        // live machine's next alloc or free would copy them first. The
-        // copy keeps its image pages, so the next refresh re-points only
-        // the pages either side rewrote.
-        let hw = c.hw_mut();
-        hw.heap.release();
-        hw.dram_heap.release();
-        for &i in &idxs[first + 1..next] {
-            let mut ri = r.clone();
-            ri.spec = fspec(i);
-            done.push((i, ri, 0));
-        }
-        done.push((idxs[first], r, 0));
-        idxs.get(next).map(|&i| sh.target(i))
-    };
-    if let Some(&i) = idxs.first() {
-        m.arm_crash_after_additional(sh.target(i) - m.pm_write_ops());
-    }
-    let mut steps = shared_steps(sh.bench, spec, state);
-    m.begin_schedule();
-    while to_end || m.crash_armed().is_some() {
-        let Some(t) = m.next_runnable() else { break };
-        m.step_thread_with(t, &mut steps[t], &mut hook);
-    }
-    done
-}
-
-/// Runs the prefix unarmed on `m`, keeping spine snapshots of machine and
-/// driver state at step boundaries: the origin (which covers every point
-/// on its own), then one every `cfg.snap_every` persistent writes,
-/// thinned to `cfg.snap_budget`.
-fn run_spine(
-    m: &mut Machine,
-    state: &SharedStates,
-    bench: AnyBench,
-    spec: &WorkloadSpec,
-    cfg: &SweepConfig,
-) -> Vec<(u64, Mutex<SpineSnap>)> {
-    use asap_sim::obs::metrics;
-    let mut spine: Vec<SpineSnap> = vec![(m.snapshot(), state.borrow().clone())];
-    let mut stride = cfg.snap_every.max(1);
-    let mut next_mark = m.pm_write_ops().saturating_add(stride);
-    let mut steps = shared_steps(bench, spec, state);
-    m.begin_schedule();
-    while let Some(t) = m.next_runnable() {
-        let out = m.step_thread(t, &mut steps[t]);
-        debug_assert_ne!(out, StepOutcome::Crashed, "the prefix runs unarmed");
-        let w = m.pm_write_ops();
-        if w >= next_mark {
-            spine.push((m.snapshot(), state.borrow().clone()));
-            if cfg.snap_budget > 0 && spine.len() > cfg.snap_budget {
-                // Over budget: evict every other snapshot (even indices
-                // survive, so the origin always does) and double the
-                // cadence — logarithmic thinning keeps memory O(budget)
-                // and flat replay distance O(prefix / budget).
-                let mut idx = 0usize;
-                spine.retain(|_| {
-                    let keep = idx.is_multiple_of(2);
-                    idx += 1;
-                    keep
-                });
-                stride = stride.saturating_mul(2);
-                metrics::counter("snapshot.spine.compactions").inc();
-            }
-            next_mark = w.saturating_add(stride);
-        }
-    }
-    for (snap, _) in &spine {
-        metrics::counter("snapshot.bytes").add(snap.approx_image_bytes());
-    }
-    metrics::gauge("snapshot.spine.len").set_max(spine.len() as u64);
-    spine
-        .into_iter()
-        .map(|s| (s.0.pm_write_ops(), Mutex::new(s)))
-        .collect()
-}
-
-/// [`run_sweep`] with an explicit [`SweepConfig`]: the one-pass walk and
-/// the parallel fork engine.
-///
-/// With `cfg.walk` at one job, the prefix pass is the walk: the machine
-/// runs the workload once, and each point crashes a cache-less copy of it
-/// at that point's write ([`Machine::crash_copy`]) — no snapshot,
-/// restore or replay. Otherwise the prefix runs once recording spine
-/// snapshots, and the points, in ascending order, split into contiguous
-/// chunks over `cfg.jobs` workers of [`asap_sim::pool::ordered`], each
-/// owning one scratch [`Machine`] (the first reuses the prefix machine).
-/// A walked chunk restores one spine snapshot and walks; a flat chunk
-/// restores and replays per point. Results merge back in request order.
-///
-/// Determinism argument: a fork's result depends only on the machine
-/// state at its crashing write, which the same [`Machine::step_thread`]
-/// loop reaches whether the machine started at setup, at a snapshot, or
-/// on any worker. So the merged output is bit-identical at any
-/// configuration — and to the legacy one-run-per-point path.
-///
-/// # Panics
-///
-/// Panics if `spec.crash_after` is set (the sweep owns crash arming), or
-/// if a scheme invariant or crash-consistency check fails in any fork.
-pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) -> SweepResult {
     assert!(
         spec.crash_after.is_none(),
         "sweep specs must not pre-arm a crash (the points are the sweep's)"
     );
-    let (mut m, mut bench, marks) = prepare(spec);
+    let (mut m, bench, marks) = prepare(spec);
     let state = thread_states(spec);
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    order.sort_by_key(|&i| (points[i], i));
-    let jobs = cfg.jobs.max(1).min(points.len().max(1));
-    let mut sh = SweepShared {
-        spec,
-        marks,
-        points,
-        spine: Vec::new(),
-        bench,
-    };
-
-    let (mut baseline, done, prefix_writes) = if cfg.walk && jobs == 1 {
-        let done = walk(&sh, &order, &mut m, &state, true);
-        let prefix_writes = m.pm_write_ops() - marks.armed_base;
-        let baseline = collect(&mut m, &mut bench, spec, RunOutcome::Completed, &marks);
-        (baseline, done, prefix_writes)
-    } else {
-        sh.spine = run_spine(&mut m, &state, bench, spec, cfg);
-        let prefix_writes = m.pm_write_ops() - marks.armed_base;
-        let baseline = collect(&mut m, &mut bench, spec, RunOutcome::Completed, &marks);
-        // A walk only reaches points inside the prefix; the rest are
-        // filled from the baseline below.
-        if cfg.walk {
-            order.retain(|&i| sh.target(i) <= marks.armed_base + prefix_writes);
+    // The prefix, unarmed, with snapshots of machine and driver state at
+    // step boundaries: the origin (which covers every point on its own),
+    // then one every `snap_every` persistent writes.
+    let mut spine: Vec<(MachineSnapshot, Vec<ThreadState>)> =
+        vec![(m.snapshot(), state.borrow().clone())];
+    let stride = snap_every.max(1);
+    let mut next_mark = m.pm_write_ops().saturating_add(stride);
+    let mut steps = shared_steps(bench, spec, &state);
+    m.begin_schedule();
+    while let Some(t) = m.next_runnable() {
+        let out = m.step_thread(t, &mut steps[t]);
+        debug_assert_ne!(out, StepOutcome::Crashed, "the prefix runs unarmed");
+        if m.pm_write_ops() >= next_mark {
+            spine.push((m.snapshot(), state.borrow().clone()));
+            next_mark = m.pm_write_ops().saturating_add(stride);
         }
-        let chunk_count = if jobs == 1 {
-            order.len().min(1)
-        } else {
-            (jobs * 4).min(order.len())
-        };
-        let chunks: Vec<&[usize]> = (0..chunk_count)
-            .map(|c| &order[c * order.len() / chunk_count..(c + 1) * order.len() / chunk_count])
-            .collect();
-        // Worker 0 forks on the prefix machine; the others build their
-        // scratch machine on first use, on their own thread.
-        let mut workers: Vec<Option<Machine>> = (0..jobs).map(|_| None).collect();
-        workers[0] = Some(m);
-        let chunk_results = asap_sim::pool::ordered(workers, chunks.len(), |wm, c| {
-            let wm = wm.get_or_insert_with(|| machine_for(spec));
-            let idxs = chunks[c];
-            if cfg.walk {
-                let state: SharedStates = Rc::new(RefCell::new(Vec::new()));
-                sh.restore_spine(idxs[0], wm, &state);
-                walk(&sh, idxs, wm, &state, false)
-            } else {
-                flat_forks(&sh, idxs, wm)
-            }
-        });
-        // Merge: output is a pure function of the per-point results,
-        // never of which worker ran them. A fork that panicked re-raises
-        // here, once every chunk has come back.
-        let mut done = Vec::with_capacity(points.len());
-        for chunk in chunk_results {
-            done.extend(chunk.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
-        }
-        (baseline, done, prefix_writes)
-    };
-
-    let mut slots: Vec<Option<(RunResult, u64)>> = points.iter().map(|_| None).collect();
-    for (i, r, replayed) in done {
-        slots[i] = Some((r, replayed));
     }
-    // A point beyond the prefix's last write never fires: its fork is the
-    // completed run under its own spec, cloned before the baseline gets
-    // its crash-point summaries.
-    let mut forks = Vec::with_capacity(points.len());
+    drop(steps);
+    for (snap, _) in &spine {
+        metrics::counter("snapshot.bytes").add(snap.approx_image_bytes());
+    }
+    let prefix_writes = m.pm_write_ops() - marks.armed_base;
+    let baseline = collect(&mut m, &bench, spec, RunOutcome::Completed, &marks);
+
+    let mut forks: Vec<Option<RunResult>> = vec![None; points.len()];
     let mut replayed_writes = 0u64;
-    for (i, slot) in slots.into_iter().enumerate() {
-        let (r, replayed) = slot.unwrap_or_else(|| {
-            note_fork(0);
-            let mut r = baseline.clone();
-            r.spec = spec.with_crash_after(points[i]);
-            (r, 0)
-        });
+    for i in sorted_order(points) {
+        let n = points[i];
+        let target = marks.crash_write(n);
+        let (snap, st) = &spine[spine.partition_point(|(s, _)| s.pm_write_ops() < target) - 1];
+        let snap_writes = snap.pm_write_ops();
+        m.restore(snap);
+        state.borrow_mut().clone_from(st);
+        m.arm_crash_after_additional(marks.armed_base + n - snap_writes);
+        let mut steps = shared_steps(bench, spec, &state);
+        let outcome = m.run(&mut steps);
+        drop(steps);
+        let replayed = m.pm_write_ops() - snap_writes;
+        note_fork(replayed);
         replayed_writes += replayed;
-        forks.push(r);
+        let fspec = spec.with_crash_after(n);
+        forks[i] = Some(collect(&mut m, &bench, &fspec, outcome, &marks));
     }
+    assemble(
+        spec,
+        points,
+        forks,
+        baseline,
+        prefix_writes,
+        replayed_writes,
+    )
+}
+
+/// Finishes a sweep. A point that never fired lay beyond the prefix's
+/// last write: its fork is the completed run under its own spec, cloned
+/// before the baseline gets its crash-point summaries.
+fn assemble(
+    spec: &WorkloadSpec,
+    points: &[u64],
+    forks: Vec<Option<RunResult>>,
+    mut baseline: RunResult,
+    prefix_writes: u64,
+    replayed_writes: u64,
+) -> SweepResult {
+    let forks: Vec<RunResult> = forks
+        .into_iter()
+        .zip(points)
+        .map(|(r, &n)| {
+            r.unwrap_or_else(|| {
+                note_fork(0);
+                let mut r = baseline.clone();
+                r.spec = spec.with_crash_after(n);
+                r
+            })
+        })
+        .collect();
     baseline.crash_points = points
         .iter()
         .zip(&forks)
-        .map(|(&n, r)| CrashPointOutcome {
-            crash_after: n,
-            crashed: r.outcome == RunOutcome::Crashed,
-            uncommitted: r
-                .recovery
-                .as_ref()
-                .map_or(0, |x| x.uncommitted.len() as u64),
-            replayed: r.recovery.as_ref().map_or(0, |x| x.replayed.len() as u64),
-            restored_lines: r.recovery.as_ref().map_or(0, |x| x.restored_lines),
-            tx: r.tx,
-        })
+        .map(|(&n, r)| CrashPointOutcome::of(n, r))
         .collect();
     SweepResult {
         baseline,
@@ -1084,38 +951,39 @@ mod tests {
     }
 
     #[test]
-    fn tree_and_parallel_sweeps_match_flat_serial() {
+    fn walks_match_flat_serial_at_every_chunk_edge() {
         use crate::resultjson::results_identical;
         let spec = small(BenchId::Hm, SchemeKind::Asap).with_tracking();
-        let points = [3u64, 1, 17, 17, 30, 1_000_000];
-        let flat = run_sweep_with(&spec, &points, &SweepConfig::flat(8));
-        for cfg in [
-            SweepConfig::tree(8),
-            SweepConfig::tree(8).with_budget(2),
-            SweepConfig::flat(8).with_jobs(3),
-            SweepConfig::tree(8).with_jobs(2),
-            SweepConfig::tree(1).with_budget(1).with_jobs(4),
-        ] {
-            let sw = run_sweep_with(&spec, &points, &cfg);
-            assert!(
-                results_identical(&sw.baseline, &flat.baseline),
-                "baseline diverged under {cfg:?}"
-            );
-            assert_eq!(sw.baseline.crash_points, flat.baseline.crash_points);
-            assert_eq!(sw.prefix_writes, flat.prefix_writes);
-            for (i, (a, b)) in sw.forks.iter().zip(&flat.forks).enumerate() {
+        // Mixed points, then the shapes that meet the chunk edges: a
+        // duplicate pair split across two chunks at 2 jobs, beyond-end
+        // points filling chunks that are not the last at 3 jobs, and no
+        // points at all (the pilot run).
+        let sets: [&[u64]; 4] = [
+            &[3, 1, 17, 17, 30, 1_000_000],
+            &[17, 17],
+            &[1_000_000; 3],
+            &[],
+        ];
+        for points in sets {
+            let flat = run_sweep(&spec, points, 8);
+            for jobs in 1..=4 {
+                let sw = walk_sweep(&spec, points, jobs);
+                let at = format!("{points:?} at {jobs} jobs");
                 assert!(
-                    results_identical(a, b),
-                    "fork {} (point {}) diverged under {cfg:?}",
-                    i,
-                    points[i]
+                    results_identical(&sw.baseline, &flat.baseline),
+                    "baseline diverged: {at}"
                 );
-            }
-            if cfg.walk {
-                assert_eq!(
-                    sw.replayed_writes, 0,
-                    "a walk replays nothing under {cfg:?}"
-                );
+                assert_eq!(sw.baseline.crash_points, flat.baseline.crash_points);
+                assert_eq!(sw.prefix_writes, flat.prefix_writes, "{at}");
+                assert_eq!(sw.replayed_writes, 0, "a walk replays nothing: {at}");
+                assert_eq!(sw.forks.len(), points.len());
+                for (i, (a, b)) in sw.forks.iter().zip(&flat.forks).enumerate() {
+                    assert!(
+                        results_identical(a, b),
+                        "fork {i} (point {}) diverged: {at}",
+                        points[i]
+                    );
+                }
             }
         }
     }
@@ -1140,7 +1008,7 @@ mod tests {
         assert_eq!(s.prefix_writes, a.prefix_writes);
         // The plan's points are ordinary crash_after coordinates: a
         // sweep over them behaves like any other sweep.
-        let sw = run_sweep_with(&spec, &s.points, &SweepConfig::tree(8));
+        let sw = walk_sweep(&spec, &s.points, 1);
         assert!(sw.baseline.crash_points.iter().all(|p| p.crashed));
     }
 

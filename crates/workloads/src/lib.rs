@@ -28,8 +28,8 @@ pub mod spec;
 pub mod structures;
 
 pub use driver::{
-    enumerate_crash_points, run, run_sweep, run_sweep_with, CrashPlan, CrashPointOutcome,
-    RunResult, StallBreakdown, SweepConfig, SweepResult,
+    enumerate_crash_points, run, run_sweep, walk_sweep, CrashPlan, CrashPointOutcome, RunResult,
+    StallBreakdown, SweepResult,
 };
 pub use spec::{BenchId, WorkloadSpec};
 pub use structures::Benchmark;

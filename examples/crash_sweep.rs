@@ -4,15 +4,16 @@
 //! ([`asap_workloads::enumerate_crash_points`]): a recording pilot notes
 //! every WPQ-acceptance / persist / commit / region-end boundary, and the
 //! sweep crash-straddles up to `ASAP_CRASH_SWEEP` of them (default 32).
-//! The sweep itself is the walk: one pass over the prefix that, at each
+//! The sweep itself is the walk: one pass over the workload that, at each
 //! point's write, crashes, recovers and verifies a cache-less copy of the
-//! live machine (with `ASAP_SWEEP_JOBS` > 1, each chunk of points restores
-//! one spine snapshot and walks from there). It is checked two ways:
+//! live machine (with `ASAP_SWEEP_JOBS` > 1, the points split into that
+//! many chunks, each walked from its own setup on its own thread). It is
+//! checked two ways:
 //!
-//! - against a serial flat-cadence sweep of the same points
-//!   (bit-identical forks; the walk replays exactly 0 writes, via the
-//!   `snapshot.replayed_writes` metric, while the flat cadence replays
-//!   each fork's tail);
+//! - against the flat reference sweep of the same points, which restores
+//!   a cadence snapshot and replays per point (bit-identical forks; the
+//!   walk replays exactly 0 writes, via the `snapshot.replayed_writes`
+//!   metric, while the flat cadence replays each fork's tail);
 //! - at ≤64 points, additionally against the legacy
 //!   one-full-run-per-point path (bit-identical, and ≥5x faster at 32+
 //!   points; both passes run with the result cache off, so the ratio
@@ -33,9 +34,7 @@ use asap_bench::{ops, run_crash_sweep_with, threads};
 use asap_core::scheme::SchemeKind;
 use asap_sim::obs::metrics;
 use asap_workloads::resultjson::results_identical;
-use asap_workloads::{
-    enumerate_crash_points, run, run_sweep_with, BenchId, RunResult, SweepConfig, WorkloadSpec,
-};
+use asap_workloads::{enumerate_crash_points, run, run_sweep, BenchId, RunResult, WorkloadSpec};
 
 fn main() {
     let n_points: u64 = std::env::var("ASAP_CRASH_SWEEP")
@@ -56,8 +55,9 @@ fn main() {
     // it stays outside the timed comparison.
     let plan = enumerate_crash_points(&spec, n_points as usize);
     let points = &plan.points;
-    // Snapshot cadence trades snapshot cost against fork replay distance;
-    // an eighth of the write range keeps both well under one full run.
+    // The flat reference's snapshot cadence trades snapshot cost against
+    // fork replay distance; an eighth of the write range keeps both well
+    // under one full run. The walk takes no snapshots.
     let snap_every = (plan.prefix_writes / 8).max(1);
 
     let replayed0 = metrics::counter_value("snapshot.replayed_writes");
@@ -105,7 +105,7 @@ fn main() {
     // must match bit-for-bit, and the walk must replay no write at all
     // (the `snapshot.replayed_writes` metric both sweeps feed).
     let flat0 = metrics::counter_value("snapshot.replayed_writes");
-    let flat = run_sweep_with(&spec, points, &SweepConfig::flat(snap_every));
+    let flat = run_sweep(&spec, points, snap_every);
     let flat_replayed = metrics::counter_value("snapshot.replayed_writes") - flat0;
     for (f, t) in flat.forks.iter().zip(&sweep.forks) {
         assert!(

@@ -224,16 +224,14 @@ fn crash_sweeps_are_identical_to_legacy_crash_cells() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The parallel sweep engine stacks two axes of host parallelism —
-/// fork-dispatch workers (`ASAP_SWEEP_JOBS`) and the grid pool that
-/// produces the legacy reference (`ASAP_JOBS`) — and every combination
-/// must still be bit-identical to the serial flat sweep and to the legacy
+/// Sweeps stack two axes of host parallelism — the walk's chunks
+/// (`ASAP_SWEEP_JOBS`) and the grid pool that produces the legacy
+/// reference (`ASAP_JOBS`) — and every combination must still be
+/// bit-identical to the serial flat sweep and to the legacy
 /// one-run-per-point path.
-/// The walk (the fourth axis) rides along: walked forks must match
-/// flat-cadence forks under every dispatch mode.
 #[test]
-fn parallel_tree_sweeps_match_serial_flat_and_legacy() {
-    use asap_workloads::{run_sweep_with, SweepConfig};
+fn parallel_walks_match_serial_flat_and_legacy() {
+    use asap_workloads::{run_sweep, walk_sweep};
     let spec = WorkloadSpec::new(BenchId::Hm, SchemeKind::Asap)
         .with_threads(2)
         .with_ops(30)
@@ -242,25 +240,22 @@ fn parallel_tree_sweeps_match_serial_flat_and_legacy() {
     let crash_specs: Vec<WorkloadSpec> = points.iter().map(|&n| spec.with_crash_after(n)).collect();
     // Legacy reference through the 4-way grid pool (the ASAP_JOBS axis).
     let legacy = run_grid_with(&crash_specs, 4, &RunCacheConfig::off());
-    let flat = run_sweep_with(&spec, &points, &SweepConfig::flat(16));
+    let flat = run_sweep(&spec, &points, 16);
     for (a, b) in flat.forks.iter().zip(&legacy) {
         assert_identical(a, b);
     }
-    for sweep_jobs in [1usize, 2, 4] {
-        for cfg in [
-            SweepConfig::flat(16).with_jobs(sweep_jobs),
-            SweepConfig::tree(16).with_budget(2).with_jobs(sweep_jobs),
-        ] {
-            let sw = run_sweep_with(&spec, &points, &cfg);
-            for (a, b) in sw.forks.iter().zip(&flat.forks) {
-                assert_identical(a, b);
-            }
-            assert_eq!(sw.baseline.crash_points, flat.baseline.crash_points);
-            assert_eq!(sw.prefix_writes, flat.prefix_writes);
-            if cfg.walk {
-                assert_eq!(sw.replayed_writes, 0, "a walk replays nothing ({cfg:?})");
-            }
+    for sweep_jobs in 1..=4 {
+        let sw = walk_sweep(&spec, &points, sweep_jobs);
+        for (a, b) in sw.forks.iter().zip(&flat.forks) {
+            assert_identical(a, b);
         }
+        assert_identical(&sw.baseline, &flat.baseline);
+        assert_eq!(sw.baseline.crash_points, flat.baseline.crash_points);
+        assert_eq!(sw.prefix_writes, flat.prefix_writes);
+        assert_eq!(
+            sw.replayed_writes, 0,
+            "a walk replays nothing ({sweep_jobs} jobs)"
+        );
     }
 }
 

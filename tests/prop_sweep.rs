@@ -1,21 +1,21 @@
-//! Property-based equivalence for the parallel crash-sweep engine.
+//! Property-based equivalence for the crash-sweep walk.
 //!
 //! Over arbitrary crash-point sets (duplicates, out-of-order, beyond-end
-//! points included) and arbitrary snapshot layouts, two claims must hold
-//! bit-for-bit:
+//! points included), two claims must hold bit-for-bit:
 //!
-//! - a parallel sweep (`jobs` ∈ {2, 4}, the `ASAP_SWEEP_JOBS` axis) is
-//!   identical to the serial sweep of the same configuration;
-//! - walked forks (cache-less crash copies of the live machine, with a
-//!   budgeted spine for parallel chunks) are identical to flat-cadence
-//!   forks.
+//! - a walk split into chunks (`jobs` ∈ {2, 3, 4}, the `ASAP_SWEEP_JOBS`
+//!   axis, so uneven chunks are covered) is identical to the one-job
+//!   walk;
+//! - walked forks (cache-less crash copies of the live machine) are
+//!   identical to the flat reference's forks, restored from a snapshot
+//!   every `snap_every` writes and replayed.
 //!
 //! "Identical" is [`results_identical`]: every scalar, float bit
 //! patterns, the full stats registry, and all exported artifacts.
 
 use asap_core::scheme::SchemeKind;
 use asap_workloads::resultjson::results_identical;
-use asap_workloads::{run_sweep_with, BenchId, SweepConfig, WorkloadSpec};
+use asap_workloads::{run_sweep, walk_sweep, BenchId, SweepResult, WorkloadSpec};
 use proptest::prelude::*;
 
 fn spec() -> WorkloadSpec {
@@ -27,27 +27,24 @@ fn spec() -> WorkloadSpec {
 
 fn assert_sweeps_identical(
     points: &[u64],
-    a: &SweepConfig,
-    b: &SweepConfig,
+    x: &SweepResult,
+    y: &SweepResult,
+    what: &str,
 ) -> Result<(), TestCaseError> {
-    let x = run_sweep_with(&spec(), points, a);
-    let y = run_sweep_with(&spec(), points, b);
     prop_assert_eq!(x.forks.len(), y.forks.len());
     for (i, (f, g)) in x.forks.iter().zip(&y.forks).enumerate() {
         prop_assert!(
             results_identical(f, g),
-            "fork {} (point {}) diverged between {:?} and {:?}",
+            "fork {} (point {}) diverged: {}",
             i,
             points[i],
-            a,
-            b
+            what
         );
     }
     prop_assert!(
         results_identical(&x.baseline, &y.baseline),
-        "baselines diverged between {:?} and {:?}",
-        a,
-        b
+        "baselines diverged: {}",
+        what
     );
     prop_assert_eq!(&x.baseline.crash_points, &y.baseline.crash_points);
     prop_assert_eq!(x.prefix_writes, y.prefix_writes);
@@ -63,24 +60,27 @@ proptest! {
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial(
         points in proptest::collection::vec(0u64..90, 1..8),
-        jobs in prop_oneof![Just(2usize), Just(4usize)],
-        snap_every in 1u64..24,
-        walk in proptest::bool::weighted(0.5),
+        jobs in prop_oneof![Just(2usize), Just(3usize), Just(4usize)],
     ) {
-        let mut serial = SweepConfig::flat(snap_every);
-        serial.walk = walk;
-        let parallel = serial.with_jobs(jobs);
-        assert_sweeps_identical(&points, &serial, &parallel)?;
+        let serial = walk_sweep(&spec(), &points, 1);
+        let parallel = walk_sweep(&spec(), &points, jobs);
+        prop_assert_eq!(parallel.replayed_writes, 0);
+        assert_sweeps_identical(&points, &serial, &parallel, &format!("{jobs} jobs"))?;
     }
 
     #[test]
-    fn tree_restored_forks_match_flat_cadence(
+    fn walked_forks_match_flat_cadence(
         points in proptest::collection::vec(0u64..90, 1..8),
         snap_every in 1u64..24,
-        budget in 0usize..5,
     ) {
-        let flat = SweepConfig::flat(snap_every);
-        let tree = SweepConfig::tree(snap_every).with_budget(budget);
-        assert_sweeps_identical(&points, &flat, &tree)?;
+        let flat = run_sweep(&spec(), &points, snap_every);
+        let walked = walk_sweep(&spec(), &points, 1);
+        prop_assert_eq!(walked.replayed_writes, 0);
+        assert_sweeps_identical(
+            &points,
+            &flat,
+            &walked,
+            &format!("walk against flat every {snap_every} writes"),
+        )?;
     }
 }

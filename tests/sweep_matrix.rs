@@ -2,7 +2,7 @@
 //!
 //! For every benchmark under the four persistent schemes, a sweep over a
 //! lifecycle-guided plan — plus `0`, a duplicate and a point beyond the
-//! last write — must give, at one and at two fork workers, forks that are
+//! last write — must give, at one to four sweep jobs, forks that are
 //! [`results_identical`] to `run(spec.with_crash_after(n))`. One HM × ASAP
 //! cell runs with tracing and telemetry on, since a crashed copy must
 //! carry the trace, the lifecycle log and the time series too.
@@ -14,9 +14,7 @@
 use asap_core::scheme::SchemeKind;
 use asap_sim::{TelemetrySettings, TraceSettings};
 use asap_workloads::resultjson::results_identical;
-use asap_workloads::{
-    enumerate_crash_points, run, run_sweep_with, BenchId, SweepConfig, WorkloadSpec,
-};
+use asap_workloads::{enumerate_crash_points, run, walk_sweep, BenchId, WorkloadSpec};
 
 const SCHEMES: [SchemeKind; 4] = [
     SchemeKind::SwUndo,
@@ -36,8 +34,8 @@ fn check_cell(spec: &WorkloadSpec) {
         .map(|&n| run(&spec.with_crash_after(n)))
         .collect();
     let label = format!("{}/{}", spec.bench, spec.scheme);
-    for jobs in [1, 2] {
-        let sw = run_sweep_with(spec, &points, &SweepConfig::tree(8).with_jobs(jobs));
+    for jobs in 1..=4 {
+        let sw = walk_sweep(spec, &points, jobs);
         assert_eq!(sw.prefix_writes, plan.prefix_writes, "{label}");
         assert_eq!(sw.replayed_writes, 0, "{label}: a walk replays nothing");
         for ((f, l), n) in sw.forks.iter().zip(&legacy).zip(&points) {
